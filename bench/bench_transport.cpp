@@ -1,7 +1,7 @@
 // Real-transport microbenchmark: echo round-trip latency and streaming
-// throughput for each socket backend (docs/TRANSPORT.md).
+// throughput of the loopback TCP transport (docs/TRANSPORT.md).
 //
-// Two shapes per backend:
+// Two shapes:
 //   - echo: one frame ping-pongs 0 -> 1 -> 0 with a single frame in flight;
 //     each round trip is one latency sample (p50/p99 of the full path:
 //     queue, writev, kernel, reassemble, dispatch — twice).
@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "net/transport/transport.hpp"
+#include "net/transport/tcp_transport.hpp"
 #include "wire/messages.hpp"
 
 using namespace str;  // NOLINT
@@ -42,8 +42,7 @@ struct Options {
   const char* out = "BENCH_TRANSPORT.json";
 };
 
-struct BackendResult {
-  const char* backend = "";
+struct Result {
   double rtt_mean_us = 0;
   double rtt_p50_us = 0;
   double rtt_p99_us = 0;
@@ -73,21 +72,19 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-BackendResult run_backend(net::TransportKind kind, const Options& opt) {
-  BackendResult r;
-  r.backend = net::to_string(kind);
+Result run(const Options& opt) {
+  Result r;
   const wire::Buffer frame = make_frame(opt.frame_body);
 
   // -- echo round trips, one frame in flight --------------------------------
   {
-    auto tp = net::make_transport(kind);
-    net::Transport* raw = tp.get();
+    net::TcpTransport tp;
     std::mutex mu;
     std::condition_variable cv;
     std::uint64_t pongs = 0;
-    tp->start(2, [&](NodeId to, std::vector<std::uint8_t> f) {
+    tp.start(2, [&](NodeId to, std::vector<std::uint8_t> f) {
       if (to == 1) {
-        raw->send(1, 0, std::move(f));
+        tp.send(1, 0, std::move(f));
         return;
       }
       {
@@ -97,7 +94,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
       cv.notify_one();
     });
     auto round_trip = [&](std::uint64_t upto) {
-      tp->send(0, 1, frame);
+      tp.send(0, 1, frame);
       std::unique_lock<std::mutex> lk(mu);
       cv.wait(lk, [&] { return pongs >= upto; });
     };
@@ -111,7 +108,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
           std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
       sum += rtt_us[i];
     }
-    tp->stop();
+    tp.stop();
     std::sort(rtt_us.begin(), rtt_us.end());
     r.rtt_mean_us = sum / static_cast<double>(opt.echo_iters);
     r.rtt_p50_us = percentile(rtt_us, 0.50);
@@ -120,11 +117,11 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
 
   // -- streaming throughput -------------------------------------------------
   {
-    auto tp = net::make_transport(kind);
+    net::TcpTransport tp;
     std::mutex mu;
     std::condition_variable cv;
     std::uint64_t received = 0;
-    tp->start(2, [&](NodeId, std::vector<std::uint8_t>) {
+    tp.start(2, [&](NodeId, std::vector<std::uint8_t>) {
       {
         std::lock_guard<std::mutex> lk(mu);
         ++received;
@@ -133,7 +130,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
     });
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < opt.stream_frames; ++i) {
-      tp->send(0, 1, frame);
+      tp.send(0, 1, frame);
     }
     {
       std::unique_lock<std::mutex> lk(mu);
@@ -141,7 +138,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
     }
     const double wall_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
-    tp->stop();
+    tp.stop();
     r.stream_frames_per_sec =
         wall_s > 0 ? static_cast<double>(opt.stream_frames) / wall_s : 0;
     r.stream_mb_per_sec = r.stream_frames_per_sec *
@@ -180,16 +177,11 @@ int main(int argc, char** argv) {
               "===\n",
               static_cast<unsigned long long>(opt.echo_iters),
               static_cast<unsigned long long>(opt.stream_frames), frame_bytes);
-  std::vector<BackendResult> results;
-  for (const net::TransportKind kind :
-       {net::TransportKind::kSocketpair, net::TransportKind::kTcp}) {
-    const BackendResult r = run_backend(kind, opt);
-    std::printf("  %-10s rtt mean %7.1f us  p50 %7.1f us  p99 %7.1f us   "
-                "stream %9.0f frames/s  %7.1f MB/s\n",
-                r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
-                r.stream_frames_per_sec, r.stream_mb_per_sec);
-    results.push_back(r);
-  }
+  const Result r = run(opt);
+  std::printf("  tcp  rtt mean %7.1f us  p50 %7.1f us  p99 %7.1f us   "
+              "stream %9.0f frames/s  %7.1f MB/s\n",
+              r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
+              r.stream_frames_per_sec, r.stream_mb_per_sec);
 
   std::FILE* f = std::fopen(opt.out, "w");
   if (f == nullptr) {
@@ -199,31 +191,23 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"transport\",\n"
-               "  \"schema_version\": 1,\n"
+               "  \"schema_version\": 2,\n"
                "  \"quick\": %s,\n"
                "  \"echo_iters\": %llu,\n"
                "  \"stream_frames\": %llu,\n"
                "  \"frame_bytes\": %zu,\n"
-               "  \"backends\": [\n",
+               "  \"transport\": \"tcp\",\n"
+               "  \"echo_rtt_mean_us\": %.2f,\n"
+               "  \"echo_rtt_p50_us\": %.2f,\n"
+               "  \"echo_rtt_p99_us\": %.2f,\n"
+               "  \"stream_frames_per_sec\": %.0f,\n"
+               "  \"stream_mb_per_sec\": %.2f\n"
+               "}\n",
                opt.quick ? "true" : "false",
                static_cast<unsigned long long>(opt.echo_iters),
-               static_cast<unsigned long long>(opt.stream_frames), frame_bytes);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BackendResult& r = results[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"backend\": \"%s\",\n"
-                 "      \"echo_rtt_mean_us\": %.2f,\n"
-                 "      \"echo_rtt_p50_us\": %.2f,\n"
-                 "      \"echo_rtt_p99_us\": %.2f,\n"
-                 "      \"stream_frames_per_sec\": %.0f,\n"
-                 "      \"stream_mb_per_sec\": %.2f\n"
-                 "    }%s\n",
-                 r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
-                 r.stream_frames_per_sec, r.stream_mb_per_sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+               static_cast<unsigned long long>(opt.stream_frames), frame_bytes,
+               r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
+               r.stream_frames_per_sec, r.stream_mb_per_sec);
   std::fclose(f);
   return 0;
 }

@@ -36,7 +36,7 @@
 
 namespace str::net {
 
-class Transport;
+class TcpTransport;
 
 struct NetworkStats {
   std::uint64_t messages_sent = 0;
@@ -125,13 +125,12 @@ class Network {
   /// latency timer are resolved once and updated on every send.
   void set_registry(obs::Registry* registry);
 
-  /// Attach a real transport (net/transport/). From then on send_frame
+  /// Attach the real transport (net/transport/). From then on send_frame
   /// bypasses the simulated latency/fault pipeline after the pre-flight
   /// accounting and hands the frame to the transport; inbound frames come
   /// back through deliver_frame on the realtime driver thread. The DES path
   /// is untouched when no transport is attached.
-  void set_transport(Transport* transport) { transport_ = transport; }
-  Transport* transport() const { return transport_; }
+  void set_transport(TcpTransport* transport) { transport_ = transport; }
 
   /// Inbound side of the real-transport path: route a reassembled frame to
   /// `to` through the installed FrameHandler (checksum rejection counts as
@@ -214,7 +213,7 @@ class Network {
   std::vector<std::vector<UniqueFunction<void()>>> msg_pools_;
   std::vector<std::vector<std::uint32_t>> msg_frees_;
   sim::ShardedScheduler* sharded_ = nullptr;
-  Transport* transport_ = nullptr;
+  TcpTransport* transport_ = nullptr;
   bool striped_ = false;  ///< sharded_ attached AND parallel
   std::vector<Rng> rngs_;        ///< per-shard jitter streams (striped)
   std::vector<Rng> fault_rngs_;  ///< per-shard fault streams (striped)

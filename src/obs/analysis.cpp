@@ -311,47 +311,6 @@ LineageStats lineage(const std::vector<TraceEvent>& events) {
 
 namespace {
 
-/// Schema mirror of the exporter's arg-name tables (export.cpp). The
-/// round-trip test pins the two against each other.
-struct ArgNames {
-  const char* a;
-  const char* b;
-};
-
-ArgNames event_arg_names(TraceEventType t) {
-  switch (t) {
-    case TraceEventType::TxBegin: return {"rs", nullptr};
-    case TraceEventType::ReadIssued: return {"key", "remote"};
-    case TraceEventType::ReadReady: return {"key", "speculative"};
-    case TraceEventType::GateParked: return {"key", nullptr};
-    case TraceEventType::GateReleased: return {"key", "parked_us"};
-    case TraceEventType::LocalCertStart: return {"write_set", nullptr};
-    case TraceEventType::LocalCertEnd: return {"lc", nullptr};
-    case TraceEventType::PrepareSent: return {"to_node", "partition"};
-    case TraceEventType::PrepareAck: return {"from_node", "refused"};
-    case TraceEventType::DepWait: return {"unresolved", nullptr};
-    case TraceEventType::DepResolved: return {"remaining", nullptr};
-    case TraceEventType::TxCommit: return {"fc", "fc_minus_rs"};
-    case TraceEventType::TxAbort: return {"reason", nullptr};
-    case TraceEventType::CommitRequested: return {"write_set", nullptr};
-  }
-  return {"a", "b"};
-}
-
-ArgNames span_arg_names(SpanKind k) {
-  switch (k) {
-    case SpanKind::Txn: return {"committed", "final"};
-    case SpanKind::Read: return {"key", "speculative"};
-    case SpanKind::GateStall: return {"key", nullptr};
-    case SpanKind::LocalCert: return {"write_set", nullptr};
-    case SpanKind::PrepareLeg: return {"partition", "node"};
-    case SpanKind::DepWait: return {nullptr, nullptr};
-    case SpanKind::Handle: return {"msg", "partition"};
-    case SpanKind::Probe: return {"msg", "partition"};
-  }
-  return {"a", "b"};
-}
-
 bool parse_tx_id(const std::string& s, TxId& out) {
   unsigned node = 0;
   unsigned long long seq = 0;
@@ -450,7 +409,7 @@ bool parse_chrome_trace(const std::string& json_text, ParsedTrace& out,
       sp.end = ts + arg_u(e, "dur");
       sp.id = arg_u(*args, "span");
       sp.parent = arg_u(*args, "parent");
-      const ArgNames names = span_arg_names(sp.kind);
+      const TraceArgNames names = span_arg_names(sp.kind);
       sp.a = arg_u(*args, names.a);
       sp.b = arg_u(*args, names.b);
       out.spans.push_back(sp);
@@ -483,7 +442,7 @@ bool parse_chrome_trace(const std::string& json_text, ParsedTrace& out,
       }
       ev.a = static_cast<std::uint64_t>(r);
     } else {
-      const ArgNames names = event_arg_names(ev.type);
+      const TraceArgNames names = event_arg_names(ev.type);
       ev.a = arg_u(*args, names.a);
       ev.b = arg_u(*args, names.b);
     }

@@ -34,46 +34,6 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-/// Human-meaningful names for the generic a/b payload of each event type.
-struct ArgNames {
-  const char* a;
-  const char* b;  ///< nullptr: omit b
-};
-
-ArgNames arg_names(TraceEventType t) {
-  switch (t) {
-    case TraceEventType::TxBegin: return {"rs", nullptr};
-    case TraceEventType::ReadIssued: return {"key", "remote"};
-    case TraceEventType::ReadReady: return {"key", "speculative"};
-    case TraceEventType::GateParked: return {"key", nullptr};
-    case TraceEventType::GateReleased: return {"key", "parked_us"};
-    case TraceEventType::LocalCertStart: return {"write_set", nullptr};
-    case TraceEventType::LocalCertEnd: return {"lc", nullptr};
-    case TraceEventType::PrepareSent: return {"to_node", "partition"};
-    case TraceEventType::PrepareAck: return {"from_node", "refused"};
-    case TraceEventType::DepWait: return {"unresolved", nullptr};
-    case TraceEventType::DepResolved: return {"remaining", nullptr};
-    case TraceEventType::TxCommit: return {"fc", "fc_minus_rs"};
-    case TraceEventType::TxAbort: return {"reason", nullptr};
-    case TraceEventType::CommitRequested: return {"write_set", nullptr};
-  }
-  return {"a", "b"};
-}
-
-ArgNames span_arg_names(SpanKind k) {
-  switch (k) {
-    case SpanKind::Txn: return {"committed", "final"};
-    case SpanKind::Read: return {"key", "speculative"};
-    case SpanKind::GateStall: return {"key", nullptr};
-    case SpanKind::LocalCert: return {"write_set", nullptr};
-    case SpanKind::PrepareLeg: return {"partition", "node"};
-    case SpanKind::DepWait: return {nullptr, nullptr};
-    case SpanKind::Handle: return {"msg", "partition"};
-    case SpanKind::Probe: return {"msg", "partition"};
-  }
-  return {"a", "b"};
-}
-
 void append_event(std::string& out, const TraceEvent& ev, bool& first) {
   if (!first) out.append(",\n");
   first = false;
@@ -89,7 +49,7 @@ void append_event(std::string& out, const TraceEvent& ev, bool& first) {
          ph[0] == 'n' ? to_string(ev.type) : "tx",
          ph, id, ev.node, ev.at);
   append(out, "\"tx\":\"%s\"", id);
-  const ArgNames names = arg_names(ev.type);
+  const TraceArgNames names = event_arg_names(ev.type);
   if (ev.type == TraceEventType::TxAbort) {
     append(out, ",\"reason\":\"%s\"",
            to_string(static_cast<AbortReason>(ev.a)));
@@ -118,7 +78,7 @@ void append_span(std::string& out, const SpanRecord& sp, bool& first) {
   append(out, "\"tx\":\"%u.%" PRIu64 "\",\"span\":%" PRIu64
               ",\"parent\":%" PRIu64,
          sp.tx.node, sp.tx.seq, sp.id, sp.parent);
-  const ArgNames names = span_arg_names(sp.kind);
+  const TraceArgNames names = span_arg_names(sp.kind);
   if (names.a != nullptr) append(out, ",\"%s\":%" PRIu64, names.a, sp.a);
   if (names.b != nullptr) append(out, ",\"%s\":%" PRIu64, names.b, sp.b);
   out.append("}}");

@@ -62,6 +62,40 @@ bool span_kind_from_string(const std::string& s, SpanKind& out) {
   return false;
 }
 
+TraceArgNames event_arg_names(TraceEventType t) {
+  switch (t) {
+    case TraceEventType::TxBegin: return {"rs", nullptr};
+    case TraceEventType::ReadIssued: return {"key", "remote"};
+    case TraceEventType::ReadReady: return {"key", "speculative"};
+    case TraceEventType::GateParked: return {"key", nullptr};
+    case TraceEventType::GateReleased: return {"key", "parked_us"};
+    case TraceEventType::LocalCertStart: return {"write_set", nullptr};
+    case TraceEventType::LocalCertEnd: return {"lc", nullptr};
+    case TraceEventType::PrepareSent: return {"to_node", "partition"};
+    case TraceEventType::PrepareAck: return {"from_node", "refused"};
+    case TraceEventType::DepWait: return {"unresolved", nullptr};
+    case TraceEventType::DepResolved: return {"remaining", nullptr};
+    case TraceEventType::TxCommit: return {"fc", "fc_minus_rs"};
+    case TraceEventType::TxAbort: return {"reason", nullptr};
+    case TraceEventType::CommitRequested: return {"write_set", nullptr};
+  }
+  return {"a", "b"};
+}
+
+TraceArgNames span_arg_names(SpanKind k) {
+  switch (k) {
+    case SpanKind::Txn: return {"committed", "final"};
+    case SpanKind::Read: return {"key", "speculative"};
+    case SpanKind::GateStall: return {"key", nullptr};
+    case SpanKind::LocalCert: return {"write_set", nullptr};
+    case SpanKind::PrepareLeg: return {"partition", "node"};
+    case SpanKind::DepWait: return {nullptr, nullptr};
+    case SpanKind::Handle: return {"msg", "partition"};
+    case SpanKind::Probe: return {"msg", "partition"};
+  }
+  return {"a", "b"};
+}
+
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
   STR_ASSERT(capacity_ > 0);
 }

@@ -82,6 +82,17 @@ enum class SpanKind : std::uint8_t {
 const char* to_string(SpanKind k);
 bool span_kind_from_string(const std::string& s, SpanKind& out);
 
+/// Chrome-trace argument names for the generic a/b payload of an event or
+/// span: the one schema both the exporter (obs/export.hpp) and the re-parser
+/// (obs/analysis.hpp) use. nullptr means the field is not written.
+struct TraceArgNames {
+  const char* a;
+  const char* b;
+};
+
+TraceArgNames event_arg_names(TraceEventType t);
+TraceArgNames span_arg_names(SpanKind k);
+
 struct SpanRecord {
   std::uint64_t id = 0;      ///< nonzero, unique within a run
   std::uint64_t parent = 0;  ///< 0 = root

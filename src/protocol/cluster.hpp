@@ -20,7 +20,7 @@
 #include "harness/metrics.hpp"
 #include "net/fault.hpp"
 #include "net/network.hpp"
-#include "net/transport/transport.hpp"
+#include "net/transport/tcp_transport.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "net/topology.hpp"
@@ -61,12 +61,13 @@ class Cluster {
     /// same RNG draws and charge the same exact frame sizes to the byte
     /// counters, so a run is bit-identical across modes (docs/WIRE.md).
     bool wire_codec = false;
-    /// Real transport mode (str_sim --transport): frames travel over actual
-    /// sockets on per-node loop threads and virtual time is paced to the
-    /// wall clock (sim/realtime.hpp). Implies wire_codec and forces
-    /// recovery on (sockets can genuinely lose frames across a connection
-    /// break). Requires threads == 1 and an empty fault plan — the DES owns
-    /// determinism and fault injection; real transports own realism.
+    /// Real transport mode (str_sim --transport tcp): frames travel over
+    /// loopback TCP sockets on per-node loop threads and virtual time is
+    /// paced to the wall clock (sim/realtime.hpp). Implies wire_codec and
+    /// forces recovery on (sockets can genuinely lose frames across a
+    /// connection break). Requires threads == 1 and an empty fault plan —
+    /// the DES owns determinism and fault injection; the real transport
+    /// owns realism.
     net::TransportKind transport = net::TransportKind::kDes;
     net::TransportOptions transport_opts;
     /// Worker threads for region-sharded parallel simulation
@@ -183,7 +184,6 @@ class Cluster {
 
   /// True when frames travel over a real transport (Config::transport).
   bool real_transport() const { return transport_ != nullptr; }
-  net::Transport* transport() { return transport_.get(); }
 
   /// Virtual time as seen by the calling context: the current shard's clock
   /// inside protocol code, the (globally agreed) clock between run_for
@@ -344,7 +344,7 @@ class Cluster {
   std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_bytes_{};
 
   // -- real transport (Config::transport != kDes; all null/zero otherwise) --
-  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<net::TcpTransport> transport_;
   std::unique_ptr<sim::RealtimeDriver> rt_driver_;
   /// Stats snapshot at the last publish (or reset_obs): the registry
   /// counters advance by the delta, so the warmup cutover discards warmup

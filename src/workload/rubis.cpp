@@ -332,14 +332,21 @@ PartitionId RubisWorkload::pick_shard(NodeId node, Rng& rng,
   return static_cast<PartitionId>(node);
 }
 
-std::uint64_t RubisWorkload::pick_hot_item(PartitionId shard, Rng& rng) {
-  const std::uint64_t count = approx_items_[shard];
+std::uint64_t RubisWorkload::pick_hot_item(PartitionId shard, NodeId node,
+                                            Rng& rng) const {
+  const std::uint64_t count = shard == node
+                                  ? approx_items_[shard]
+                                  : config_.initial_items_per_shard;
   const std::uint64_t window = std::min<std::uint64_t>(config_.hot_window, count);
   return count - 1 - rng.uniform(window);
 }
 
-std::uint64_t RubisWorkload::pick_user(PartitionId shard, Rng& rng) const {
-  return rng.uniform(std::max<std::uint64_t>(1, approx_users_[shard]));
+std::uint64_t RubisWorkload::pick_user(PartitionId shard, NodeId node,
+                                       Rng& rng) const {
+  const std::uint64_t count = shard == node
+                                  ? approx_users_[shard]
+                                  : config_.initial_users_per_shard;
+  return rng.uniform(std::max<std::uint64_t>(1, count));
 }
 
 std::shared_ptr<TxnProgram> RubisWorkload::next(NodeId node, Rng& rng) {
@@ -353,18 +360,18 @@ std::shared_ptr<TxnProgram> RubisWorkload::next(NodeId node, Rng& rng) {
     const std::uint64_t u = rng.uniform(15);
     if (u < 7) {
       const PartitionId s = pick_shard(node, rng, false);
-      return std::make_shared<StoreBidTxn>(keys_, s, pick_hot_item(s, rng),
-                                           home);
+      return std::make_shared<StoreBidTxn>(
+          keys_, s, pick_hot_item(s, node, rng), home);
     }
     if (u < 10) {
       const PartitionId s = pick_shard(node, rng, false);
-      return std::make_shared<StoreBuyNowTxn>(keys_, s, pick_hot_item(s, rng),
-                                              home);
+      return std::make_shared<StoreBuyNowTxn>(
+          keys_, s, pick_hot_item(s, node, rng), home);
     }
     if (u < 12) {
       const PartitionId s = pick_shard(node, rng, false);
-      return std::make_shared<StoreCommentTxn>(keys_, s, pick_user(s, rng),
-                                               home);
+      return std::make_shared<StoreCommentTxn>(
+          keys_, s, pick_user(s, node, rng), home);
     }
     if (u < 14) {
       ++approx_items_[home];
@@ -442,13 +449,13 @@ std::shared_ptr<TxnProgram> RubisWorkload::next(NodeId node, Rng& rng) {
     case RubisTxType::SearchItemsInCategory:
       reads.push_back(keys_.category_listing(s, cat));
       for (int i = 0; i < 10; ++i) {
-        reads.push_back(keys_.item(s, pick_hot_item(s, rng)));
+        reads.push_back(keys_.item(s, pick_hot_item(s, node, rng)));
       }
       break;
     case RubisTxType::SearchItemsInRegion:
       reads.push_back(keys_.region_listing(s, reg));
       for (int i = 0; i < 10; ++i) {
-        reads.push_back(keys_.item(s, pick_hot_item(s, rng)));
+        reads.push_back(keys_.item(s, pick_hot_item(s, node, rng)));
       }
       break;
     case RubisTxType::ViewItem:
@@ -456,10 +463,10 @@ std::shared_ptr<TxnProgram> RubisWorkload::next(NodeId node, Rng& rng) {
     case RubisTxType::BuyNowForm:
     case RubisTxType::PutBidAuth:
     case RubisTxType::PutBidForm:
-      reads.push_back(keys_.item(s, pick_hot_item(s, rng)));
+      reads.push_back(keys_.item(s, pick_hot_item(s, node, rng)));
       break;
     case RubisTxType::ViewBidHistory:
-      reads.push_back(keys_.item(s, pick_hot_item(s, rng)));
+      reads.push_back(keys_.item(s, pick_hot_item(s, node, rng)));
       for (int i = 0; i < 5; ++i) {
         reads.push_back(keys_.bid(s, rng.uniform(1000)));
       }
@@ -467,28 +474,28 @@ std::shared_ptr<TxnProgram> RubisWorkload::next(NodeId node, Rng& rng) {
     case RubisTxType::ViewUserInfo:
     case RubisTxType::PutCommentAuth:
     case RubisTxType::PutCommentForm:
-      reads.push_back(keys_.user(s, pick_user(s, rng)));
+      reads.push_back(keys_.user(s, pick_user(s, node, rng)));
       break;
     case RubisTxType::ViewComments:
-      reads.push_back(keys_.user(s, pick_user(s, rng)));
+      reads.push_back(keys_.user(s, pick_user(s, node, rng)));
       for (int i = 0; i < 5; ++i) {
         reads.push_back(keys_.comment(s, rng.uniform(1000)));
       }
       break;
     case RubisTxType::AboutMe:
-      reads.push_back(keys_.user(home, pick_user(home, rng)));
+      reads.push_back(keys_.user(home, pick_user(home, node, rng)));
       for (int i = 0; i < 3; ++i) {
         reads.push_back(keys_.bid(home, rng.uniform(1000)));
-        reads.push_back(keys_.item(home, pick_hot_item(home, rng)));
+        reads.push_back(keys_.item(home, pick_hot_item(home, node, rng)));
       }
       break;
     case RubisTxType::SellForm:
     case RubisTxType::SellItemForm:
     case RubisTxType::RegisterUserForm:
-      reads.push_back(keys_.user(home, pick_user(home, rng)));
+      reads.push_back(keys_.user(home, pick_user(home, node, rng)));
       break;
     default:
-      reads.push_back(keys_.item(s, pick_hot_item(s, rng)));
+      reads.push_back(keys_.item(s, pick_hot_item(s, node, rng)));
       break;
   }
   return std::make_shared<ReadOnlyTxn>(type, std::move(reads));

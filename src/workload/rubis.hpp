@@ -112,8 +112,12 @@ class RubisWorkload final : public Workload {
  private:
   /// Pick a shard: the client's own with probability 1-remote_target_prob.
   PartitionId pick_shard(NodeId node, Rng& rng, bool force_remote) const;
-  std::uint64_t pick_hot_item(PartitionId shard, Rng& rng);
-  std::uint64_t pick_user(PartitionId shard, Rng& rng) const;
+  /// Draws for a client of `node`. Only `node`'s clients grow its own
+  /// counters, so a client reads its home shard's live count and a remote
+  /// shard's load-time count: no read crosses scheduler workers, and the
+  /// draw is the same for every worker count.
+  std::uint64_t pick_hot_item(PartitionId shard, NodeId node, Rng& rng) const;
+  std::uint64_t pick_user(PartitionId shard, NodeId node, Rng& rng) const;
 
   protocol::Cluster& cluster_;
   RubisConfig config_;

@@ -16,7 +16,7 @@
 // same-process repeatability), never on the fingerprint. Its bit-equality
 // with the pre-sharding simulator is the golden-determinism suite's job.
 //
-// Three configurations, because parallel bugs hide in the machinery each
+// Several configurations, because parallel bugs hide in the machinery each
 // one uniquely exercises:
 //   clean    pure protocol traffic (mailbox merge order, per-shard RNG)
 //   chaos    drops + dups + a partition window + crash/restart (global
@@ -24,10 +24,14 @@
 //            epoch-gated delivery to a crashed node)
 //   durable  WAL + torn-write crash/replay (per-node WAL counters, media
 //            events on the owner's shard scheduler)
+//   quorum   decision replication, with and without a permanent crash
+//   rubis    RUBiS, whose workload object keeps per-node entity counters
+//            that clients on every shard draw keys from
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "harness/metrics.hpp"
@@ -35,6 +39,7 @@
 #include "verify/history.hpp"
 #include "verify/spsi_checker.hpp"
 #include "workload/client.hpp"
+#include "workload/rubis.hpp"
 #include "workload/synthetic.hpp"
 
 namespace str::harness {
@@ -54,7 +59,14 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-enum class Variant { kClean, kChaos, kDurable, kQuorum, kQuorumChaos };
+enum class Variant {
+  kClean,
+  kChaos,
+  kDurable,
+  kQuorum,
+  kQuorumChaos,
+  kRubis,
+};
 
 struct RunResult {
   std::uint64_t fingerprint = 0;
@@ -113,10 +125,22 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
   protocol::Cluster cluster(cfg);
   verify::HistoryRecorder history;
   cluster.set_history(&history);
-  workload::SyntheticWorkload wl(cluster,
-                                 workload::SyntheticConfig::synth_a());
-  wl.load(cluster);
-  auto pool = workload::ClientPool::with_total(cluster, wl, 45);
+  std::unique_ptr<workload::Workload> wl;
+  std::uint32_t clients = 45;
+  if (variant == Variant::kRubis) {
+    // Short think times so a 3 s run registers new users and items on
+    // every node while other nodes' clients draw from those shards.
+    workload::RubisConfig rcfg;
+    rcfg.think_min = msec(10);
+    rcfg.think_max = msec(100);
+    wl = std::make_unique<workload::RubisWorkload>(cluster, rcfg);
+    clients = 180;
+  } else {
+    wl = std::make_unique<workload::SyntheticWorkload>(
+        cluster, workload::SyntheticConfig::synth_a());
+  }
+  wl->load(cluster);
+  auto pool = workload::ClientPool::with_total(cluster, *wl, clients);
   pool.start_all();
   cluster.run_for(sec(3));
   pool.request_stop_all();
@@ -215,6 +239,10 @@ TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorum) {
 
 TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorumChaos) {
   expect_worker_count_invariant(Variant::kQuorumChaos);
+}
+
+TEST(ParallelDeterminism, TwoAndFourWorkersAgreeOnRubis) {
+  expect_worker_count_invariant(Variant::kRubis);
 }
 
 // threads=1 is the classic single queue: a distinct trajectory from the

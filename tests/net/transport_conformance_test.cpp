@@ -1,30 +1,34 @@
-// Transport conformance: every real backend (socketpair, TCP) must honor the
-// same delivery contract — intact, ordered, byte-exact frames per connection
-// lifetime, accurate counters, and the documented loss semantics across a
-// connection break (TCP re-offers queued frames; socketpair losses are
-// permanent). The suite runs the identical assertions against both backends
-// over real sockets, plus TCP-only lifecycle cases (busy port, ephemeral
-// port assignment) and a short wall-clock cluster run that must reach a
-// clean SPSI verdict.
-#include "net/transport/transport.hpp"
+// Transport conformance: the loopback TCP transport must honor the
+// delivery contract of docs/TRANSPORT.md — intact, ordered, byte-exact
+// frames per connection lifetime, accurate counters, and re-offer of queued
+// frames across a connection break — over real sockets. Lifecycle cases
+// cover start() failures (busy port, a base port past 65535, fd
+// exhaustion) and ephemeral port assignment; a short wall-clock cluster run
+// must reach a clean SPSI verdict.
+#include "net/transport/tcp_transport.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "net/transport/tcp_transport.hpp"
 #include "tests/protocol/test_util.hpp"
+#include "wire/assembler.hpp"
 #include "wire/messages.hpp"
 #include "workload/synthetic.hpp"
 
@@ -140,58 +144,65 @@ bool eventually(const std::function<bool()>& pred,
 /// bytes crossed, but the sending loop folds its tallies just before it
 /// blocks again, a few microseconds later. Exact-equality assertions follow
 /// the wait so mismatches still fail loudly.
-bool stats_settle(const Transport& tp,
+bool stats_settle(const TcpTransport& tp,
                   const std::function<bool(const TransportStats&)>& pred) {
   return eventually([&] { return pred(tp.stats()); });
 }
 
+/// Descriptors this process holds open (the listing's own fd included, the
+/// same on every call).
+std::size_t open_fd_count() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::begin(fds), std::filesystem::end(fds)));
+}
+
 class TransportConformance : public ::testing::TestWithParam<TransportKind> {};
 
+// Parameterised on TransportKind; loopback TCP is the one real transport.
 INSTANTIATE_TEST_SUITE_P(
-    Backends, TransportConformance,
-    ::testing::Values(TransportKind::kSocketpair, TransportKind::kTcp),
+    Backends, TransportConformance, ::testing::Values(TransportKind::kTcp),
     [](const ::testing::TestParamInfo<TransportKind>& param) {
       return std::string(to_string(param.param));
     });
 
 TEST_P(TransportConformance, EchoRoundTripAllFrameTypes) {
-  auto tp = make_transport(GetParam());
-  Transport* raw = tp.get();
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     if (to == 1) {
       // Echo server: send() from inside the RxHandler is part of the
       // contract (protocol replies do exactly this).
-      raw->send(1, 0, std::move(frame));
+      tp.send(1, 0, std::move(frame));
       return;
     }
     log.push(to, std::move(frame));
   });
   const std::vector<wire::Buffer> frames = sample_frames();
-  for (const wire::Buffer& f : frames) tp->send(0, 1, f);
+  for (const wire::Buffer& f : frames) tp.send(0, 1, f);
   ASSERT_TRUE(log.wait_total(frames.size()));
   // Byte-exact and in send order after a full round trip per type.
   EXPECT_EQ(log.at(0), frames);
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.frames_sent >= 2 * frames.size() &&
            s.frames_received >= 2 * frames.size();
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 2 * frames.size());
   EXPECT_EQ(s.frames_received, 2 * frames.size());
   EXPECT_EQ(s.bytes_sent, s.bytes_received);
   EXPECT_EQ(s.frames_resent, 0u);
   EXPECT_EQ(s.frames_dropped, 0u);
-  tp->stop();
+  tp.stop();
 }
 
 TEST_P(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
   // Frame sizes straddling every read-path regime: empty bodies that
   // coalesce many-per-read, and frames larger than the 64 KiB read chunk
   // that arrive split across several reads.
-  auto tp = make_transport(GetParam());
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   const std::size_t sizes[] = {0, 3, 64, 1024, 60000, 130000};
@@ -203,49 +214,49 @@ TEST_P(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
   std::uint64_t bytes = 0;
   for (const wire::Buffer& f : sent) {
     bytes += f.size();
-    tp->send(0, 1, f);
+    tp.send(0, 1, f);
   }
   ASSERT_TRUE(log.wait_total(sent.size(), 30s));
   EXPECT_EQ(log.at(1), sent);
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.bytes_sent >= bytes && s.bytes_received >= bytes;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_received, sent.size());
   EXPECT_EQ(s.bytes_received, bytes);
   EXPECT_EQ(s.bytes_sent, bytes);
-  tp->stop();
+  tp.stop();
 }
 
 TEST_P(TransportConformance, SelfSendLoopsBackWithoutASocket) {
-  auto tp = make_transport(GetParam());
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   const wire::Buffer f = raw_frame(7, 21);
-  tp->send(0, 0, f);
+  tp.send(0, 0, f);
   ASSERT_TRUE(log.wait_total(1));
   EXPECT_EQ(log.at(0), std::vector<wire::Buffer>{f});
-  EXPECT_TRUE(stats_settle(*tp, [](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [](const TransportStats& s) {
     return s.frames_sent >= 1 && s.frames_received >= 1;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 1u);
   EXPECT_EQ(s.frames_received, 1u);
-  tp->stop();
+  tp.stop();
 }
 
 TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
   // Send a distinct count of each message type; the per-tag tallies at the
   // receiver must sum exactly to the transport's frame counters — the
   // socket-level ground truth behind the cluster's wire.msgs.* accounting.
-  auto tp = make_transport(GetParam());
+  TcpTransport tp;
   std::mutex mu;
   std::map<std::uint8_t, std::size_t> by_tag;
   std::size_t total_rx = 0;
   std::condition_variable cv;
-  tp->start(2, [&](NodeId, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId, std::vector<std::uint8_t> frame) {
     ASSERT_GT(frame.size(), wire::kFrameLenBytes);
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -258,7 +269,7 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
   std::size_t total = 0;
   for (std::size_t t = 0; t < frames.size(); ++t) {
     for (std::size_t k = 0; k <= t; ++k) {
-      tp->send(0, 1, frames[t]);
+      tp.send(0, 1, frames[t]);
       ++total;
     }
   }
@@ -270,96 +281,88 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
           << "type index " << t;
     }
   }
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.frames_sent >= total && s.frames_received >= total;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, total);
   EXPECT_EQ(s.frames_received, total);
   EXPECT_EQ(s.frames_resent, 0u);
-  tp->stop();
+  tp.stop();
 }
 
 TEST_P(TransportConformance, DropConnectionsFollowsBackendLossSemantics) {
-  auto tp = make_transport(GetParam());
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   // Prove the 0→1 connection is established before staging the break.
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
 
   // Pin frames in node 0's outbound queue, then cut every connection it
   // owns. debug_drop_connections is synchronous, so the loss accounting is
   // fully visible when it returns.
-  tp->debug_pause_writes(0, true);
+  tp.debug_pause_writes(0, true);
   constexpr std::size_t kQueued = 5;
-  for (std::size_t i = 0; i < kQueued; ++i) tp->send(0, 1, raw_frame(2, 32));
-  tp->debug_drop_connections(0);
-  const TransportStats s = tp->stats();
+  for (std::size_t i = 0; i < kQueued; ++i) tp.send(0, 1, raw_frame(2, 32));
+  tp.debug_drop_connections(0);
+  const TransportStats s = tp.stats();
   EXPECT_GE(s.disconnects, 1u);
 
-  if (GetParam() == TransportKind::kTcp) {
-    // TCP re-offers everything still queued on a replacement connection.
-    EXPECT_EQ(s.frames_resent, kQueued);
-    EXPECT_EQ(s.resent_by_tag[2], kQueued);
-    EXPECT_EQ(s.frames_dropped, 0u);
-    tp->debug_pause_writes(0, false);
-    ASSERT_TRUE(log.wait_total(1 + kQueued));
-    EXPECT_EQ(log.at(1).size(), 1 + kQueued);
-    EXPECT_TRUE(eventually([&] { return tp->stats().reconnects >= 1; }));
-  } else {
-    // Socketpair has no reconnect: queued frames are dropped, and the pair
-    // stays dead — later sends are dropped too, never delivered.
-    EXPECT_GE(s.frames_dropped, kQueued);
-    EXPECT_EQ(s.frames_resent, 0u);
-    tp->debug_pause_writes(0, false);
-    tp->send(0, 1, raw_frame(3, 4));
-    EXPECT_TRUE(eventually(
-        [&] { return tp->stats().frames_dropped >= kQueued + 1; }));
-    EXPECT_EQ(log.at(1).size(), 1u);
-  }
-  tp->stop();
+  // Everything still queued is re-offered on a replacement connection.
+  EXPECT_EQ(s.frames_resent, kQueued);
+  EXPECT_EQ(s.resent_by_tag[2], kQueued);
+  EXPECT_EQ(s.frames_dropped, 0u);
+  tp.debug_pause_writes(0, false);
+  ASSERT_TRUE(log.wait_total(1 + kQueued));
+  EXPECT_EQ(log.at(1).size(), 1 + kQueued);
+  EXPECT_TRUE(eventually([&] { return tp.stats().reconnects >= 1; }));
+  tp.stop();
 }
 
 TEST_P(TransportConformance, StopDiscardsQueuedFramesAsDropped) {
-  auto tp = make_transport(GetParam());
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
-  tp->debug_pause_writes(0, true);
-  for (int i = 0; i < 3; ++i) tp->send(0, 1, raw_frame(2, 16));
-  tp->stop();
+  tp.debug_pause_writes(0, true);
+  for (int i = 0; i < 3; ++i) tp.send(0, 1, raw_frame(2, 16));
+  tp.stop();
   // Unsent frames must be accounted, not silently lost.
-  EXPECT_GE(tp->stats().frames_dropped, 3u);
+  EXPECT_GE(tp.stats().frames_dropped, 3u);
 }
 
 TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
-  // A peer whose stream claims a frame above the configured ceiling gets its
-  // connection cut (the assembler's error latch), never a buffer of that
-  // size. TCP then rebuilds the connection and traffic resumes.
-  TransportOptions opts;
-  opts.max_frame_size = 1024;
-  auto tp = make_transport(GetParam(), opts);
+  // A peer whose stream claims a frame above wire::kDefaultMaxFrameSize gets
+  // its connection cut on the length prefix alone (the assembler's error
+  // latch), never a buffer of that size. The transport then rebuilds the
+  // connection and traffic resumes.
+  TcpTransport tp;
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
-  tp->send(0, 1, raw_frame(2, 4000));  // 4009 bytes > 1024 ceiling
-  EXPECT_TRUE(eventually([&] { return tp->stats().disconnects >= 1; }));
-  if (GetParam() == TransportKind::kTcp) {
-    tp->send(0, 1, raw_frame(3, 8));
-    ASSERT_TRUE(log.wait_total(2));
-    ASSERT_EQ(log.at(1).size(), 2u);
-    EXPECT_EQ(log.at(1)[1][wire::kFrameLenBytes], 3);
+  // A short frame whose length prefix claims one byte past the ceiling.
+  wire::Buffer oversized = raw_frame(2, 8);
+  const auto claimed = static_cast<std::uint32_t>(wire::kDefaultMaxFrameSize -
+                                                  wire::kFrameLenBytes + 1);
+  for (std::size_t i = 0; i < wire::kFrameLenBytes; ++i) {
+    oversized[i] = static_cast<std::uint8_t>((claimed >> (8 * i)) & 0xff);
   }
-  tp->stop();
+  tp.send(0, 1, oversized);
+  EXPECT_TRUE(eventually([&] { return tp.stats().disconnects >= 1; }));
+  tp.send(0, 1, raw_frame(3, 8));
+  ASSERT_TRUE(log.wait_total(2));
+  ASSERT_EQ(log.at(1).size(), 2u);
+  EXPECT_EQ(log.at(1)[1][wire::kFrameLenBytes], 3);
+  tp.stop();
 }
 
 TEST(TcpTransportLifecycle, StartThrowsOnBusyPort) {
@@ -386,8 +389,55 @@ TEST(TcpTransportLifecycle, StartThrowsOnBusyPort) {
   ::close(fd);
 }
 
+TEST(TcpTransportLifecycle, StartThrowsWhenBasePortWouldWrap) {
+  // Node i listens on base_port + i: with 2 nodes from 65535, node 1 would
+  // need port 65536. start() must refuse before binding anything rather
+  // than wrap node 1 onto port 0 (an ephemeral port).
+  const std::size_t before = open_fd_count();
+  TransportOptions opts;
+  opts.base_port = 65535;
+  TcpTransport tp(opts);
+  EXPECT_THROW(
+      tp.start(2, [](NodeId, std::vector<std::uint8_t>) {}),
+      std::runtime_error);
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST(TcpTransportLifecycle, FailedStartClosesEveryFd) {
+  // Leave exactly five free descriptor numbers under RLIMIT_NOFILE: the
+  // three listeners and node 0's wakeup pipe fit, node 1's pipe fails with
+  // EMFILE. The throw must close every fd start() opened, including the
+  // listener already handed to node 0's loop.
+  int probe[5];
+  for (int& fd : probe) {
+    fd = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(fd, 0);
+  }
+  const int highest_free = probe[4];  // open() takes the lowest free number
+  for (int fd : probe) ::close(fd);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const std::size_t before = open_fd_count();
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(highest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  bool threw = false;
+  {
+    TcpTransport tp;
+    try {
+      tp.start(3, [](NodeId, std::vector<std::uint8_t>) {});
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(open_fd_count(), before);
+}
+
 TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
-  TcpTransport tp{TransportOptions{}};
+  TcpTransport tp;
   tp.start(3, [](NodeId, std::vector<std::uint8_t>) {});
   const std::uint16_t p0 = tp.port_of(0);
   const std::uint16_t p1 = tp.port_of(1);
@@ -403,7 +453,7 @@ TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
 
 TEST_P(TransportConformance, ClusterReachesCleanSpsiOverRealSockets) {
   // The full stack in wall-clock time: a small cluster running the synthetic
-  // workload over this backend must commit work, quiesce clean, and pass
+  // workload over loopback TCP must commit work, quiesce clean, and pass
   // the SPSI checker — with zero socket-level retransmits on a healthy
   // loopback.
   harness::ExperimentConfig cfg;

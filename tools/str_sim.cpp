@@ -90,14 +90,14 @@ void usage() {
       "                 frame and decode it at delivery (wire codec mode,\n"
       "                 docs/WIRE.md); bit-identical to the default\n"
       "                 closure transport\n"
-      "  --transport T  des | socketpair | tcp (docs/TRANSPORT.md). des (the\n"
-      "                 default) is the deterministic simulator; socketpair\n"
-      "                 and tcp run the same cluster logic over real sockets\n"
-      "                 on per-node loop threads, pacing virtual time to the\n"
-      "                 wall clock (implies --wire; requires --threads 1 and\n"
-      "                 no fault directives)                        [des]\n"
+      "  --transport T  des | tcp (docs/TRANSPORT.md). des (the default) is\n"
+      "                 the deterministic simulator; tcp runs the same\n"
+      "                 cluster logic over loopback TCP sockets on per-node\n"
+      "                 loop threads, pacing virtual time to the wall clock\n"
+      "                 (implies --wire; requires --threads 1 and no fault\n"
+      "                 directives)                                 [des]\n"
       "  --transport-port N  tcp only: node i listens on 127.0.0.1:(N+i)\n"
-      "                 instead of ephemeral ports\n"
+      "                 instead of ephemeral ports; N+nodes-1 <= 65535\n"
       "  --csv PATH     append per-run metrics to a CSV file\n"
       "  --trace-out PATH    write a Chrome trace-event JSON (Perfetto /\n"
       "                      chrome://tracing loadable; first rep only;\n"
@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
   // as usage errors before any of that exists.
   net::TransportKind tkind = net::TransportKind::kDes;
   if (!net::parse_transport(opt.transport, tkind)) {
-    std::fprintf(stderr, "--transport wants des | socketpair | tcp, got %s\n",
+    std::fprintf(stderr, "--transport wants des | tcp, got %s\n",
                  opt.transport.c_str());
     return 1;
   }
@@ -448,14 +448,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "--transport %s is incompatible with fault directives "
                    "(--drop-prob, --partition, --crash-node, ...): the DES "
-                   "owns deterministic fault injection; real transports get "
-                   "their faults from real sockets\n",
+                   "owns deterministic fault injection; the tcp transport gets "
+                   "its faults from real sockets\n",
                    opt.transport.c_str());
       return 1;
     }
   }
   if (opt.transport_port != 0 && tkind != net::TransportKind::kTcp) {
     std::fprintf(stderr, "--transport-port requires --transport tcp\n");
+    return 1;
+  }
+  if (opt.transport_port != 0 &&
+      static_cast<std::uint64_t>(opt.transport_port) + opt.nodes - 1 > 65535) {
+    std::fprintf(stderr,
+                 "--transport-port %d puts node %u past port 65535 (node i "
+                 "listens on N+i)\n",
+                 opt.transport_port, opt.nodes - 1);
     return 1;
   }
   bool ok = false;
