@@ -6,122 +6,59 @@
 
 namespace str::storage {
 
+/// Checkpoint entry layout. Declared in this namespace (not an anonymous
+/// one) so the wire visitors find it by argument-dependent lookup.
+void fields(auto& f, wire::Of<CheckpointVersion> auto& v) {
+  f(v.key);
+  f(v.ts);
+  f(v.state, VersionState::Committed);
+  f(v.writer);
+  f(v.value);
+}
+
 namespace {
 
-// -- body encoding helpers (wire conventions: varints, length-prefixed) -----
-
-void put_tx(wire::Writer& w, const TxId& tx) {
-  w.varint(tx.node);
-  w.varint(tx.seq);
+/// Seal one record in place: `type`, then `fs` in log order, each in its
+/// wire field encoding.
+template <class... Fields>
+void seal(wire::Buffer& out, WalRecordType type, const Fields&... fs) {
+  wire::append_frame(out, static_cast<std::uint8_t>(type),
+                     [&](wire::Writer& w) {
+                       wire::Encoder<wire::Writer> e(w);
+                       (e(fs), ...);
+                     });
 }
 
-TxId get_tx(wire::Reader& r) {
-  TxId tx;
-  tx.node = static_cast<NodeId>(r.varint());
-  tx.seq = r.varint();
-  return tx;
-}
-
-/// A payload handle is nullable ("no payload") and that must survive the
-/// round trip, so a presence byte precedes the bytes.
-void put_value(wire::Writer& w, const SharedValue& v) {
-  if (v == nullptr) {
-    w.u8(0);
-    return;
-  }
-  w.u8(1);
-  w.str(*v);
-}
-
-bool get_value(wire::Reader& r, SharedValue& out) {
-  const std::uint8_t has = r.u8();
-  if (has > 1) return false;
-  if (has == 0) {
-    out = nullptr;
-    return true;
-  }
-  std::string s;
-  if (!r.str(s)) return false;
-  out = std::make_shared<const Value>(std::move(s));
-  return true;
-}
-
-void put_updates(wire::Writer& w, const WalUpdates& updates) {
-  w.varint(updates.size());
-  for (const auto& [key, value] : updates) {
-    w.varint(key);
-    put_value(w, value);
-  }
-}
-
-bool get_updates(wire::Reader& r, WalUpdates& out) {
-  const std::uint64_t count = r.varint();
-  if (!r.ok() || count > r.remaining()) return false;  // forged count
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Key key = r.varint();
-    SharedValue value;
-    if (!get_value(r, value)) return false;
-    out.emplace_back(key, std::move(value));
-  }
-  return r.ok();
-}
-
-/// Wrap `body` (type tag already at body[0]) into a frame appended to `out`.
-void frame(wire::Buffer& out, const wire::Buffer& payload) {
-  wire::Writer w(out);
-  w.u32le(static_cast<std::uint32_t>(payload.size() +
-                                     wire::kFrameChecksumBytes));
-  out.insert(out.end(), payload.begin(), payload.end());
-  w.u32le(wire::checksum32(payload.data(), payload.size()));
-}
-
-/// Decode one record body (after the type tag). Returns false on any
-/// malformed field, range violation, or trailing bytes.
-bool decode_body(WalRecordType type, const std::uint8_t* body,
-                 std::size_t size, WalRecord& rec) {
-  wire::Reader r(body, size);
-  rec.type = type;
-  switch (type) {
+/// Decode one opened frame; the field order per type mirrors the encoders
+/// below. False on an unknown type, any malformed field, or trailing bytes.
+bool decode_record(const wire::FrameView& frame, WalRecord& rec) {
+  wire::Reader r(frame.body, frame.body_len);
+  wire::Decoder d(r);
+  rec.type = static_cast<WalRecordType>(frame.type);
+  switch (rec.type) {
     case WalRecordType::kPrepare:
-      rec.tx = get_tx(r);
-      rec.rs = r.varint();
-      rec.ts = r.varint();
-      if (!get_updates(r, rec.updates)) return false;
+      d(rec.tx);
+      d(rec.rs);
+      d(rec.ts);
+      d(rec.updates);
       break;
     case WalRecordType::kCommit:
-      rec.tx = get_tx(r);
-      rec.ts = r.varint();
-      if (!get_updates(r, rec.updates)) return false;
+      d(rec.tx);
+      d(rec.ts);
+      d(rec.updates);
       break;
     case WalRecordType::kAbort:
-      rec.tx = get_tx(r);
+      d(rec.tx);
       break;
     case WalRecordType::kDecision:
-      rec.tx = get_tx(r);
-      rec.ts = r.varint();
-      rec.at = r.varint();
+      d(rec.tx);
+      d(rec.ts);
+      d(rec.at);
       break;
-    case WalRecordType::kCheckpoint: {
-      rec.ts = r.varint();
-      const std::uint64_t count = r.varint();
-      if (!r.ok() || count > r.remaining()) return false;
-      rec.snapshot.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        CheckpointVersion v;
-        v.key = r.varint();
-        v.ts = r.varint();
-        const std::uint8_t state = r.u8();
-        if (state > static_cast<std::uint8_t>(VersionState::Committed)) {
-          return false;
-        }
-        v.state = static_cast<VersionState>(state);
-        v.writer = get_tx(r);
-        if (!get_value(r, v.value)) return false;
-        rec.snapshot.push_back(std::move(v));
-      }
+    case WalRecordType::kCheckpoint:
+      d(rec.ts);
+      d(rec.snapshot);
       break;
-    }
     default:
       return false;
   }
@@ -132,95 +69,47 @@ bool decode_body(WalRecordType type, const std::uint8_t* body,
 
 void encode_prepare(wire::Buffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kPrepare));
-  put_tx(w, tx);
-  w.varint(rs);
-  w.varint(proposed);
-  put_updates(w, updates);
-  frame(out, payload);
+  seal(out, WalRecordType::kPrepare, tx, rs, proposed, updates);
 }
 
 void encode_commit(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kCommit));
-  put_tx(w, tx);
-  w.varint(commit_ts);
-  put_updates(w, updates);
-  frame(out, payload);
+  seal(out, WalRecordType::kCommit, tx, commit_ts, updates);
 }
 
 void encode_abort(wire::Buffer& out, const TxId& tx) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kAbort));
-  put_tx(w, tx);
-  frame(out, payload);
+  seal(out, WalRecordType::kAbort, tx);
 }
 
 void encode_decision(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kDecision));
-  put_tx(w, tx);
-  w.varint(commit_ts);
-  w.varint(at);
-  frame(out, payload);
+  seal(out, WalRecordType::kDecision, tx, commit_ts, at);
 }
 
 void encode_checkpoint(wire::Buffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kCheckpoint));
-  w.varint(watermark);
-  w.varint(snapshot.size());
-  for (const CheckpointVersion& v : snapshot) {
-    w.varint(v.key);
-    w.varint(v.ts);
-    w.u8(static_cast<std::uint8_t>(v.state));
-    put_tx(w, v.writer);
-    put_value(w, v.value);
-  }
-  frame(out, payload);
+  seal(out, WalRecordType::kCheckpoint, watermark, snapshot);
 }
 
 WalScanResult scan_wal(const wire::Buffer& bytes,
                        const std::function<void(const WalRecord&)>& visit) {
   WalScanResult result;
   std::size_t off = 0;
-  while (off < bytes.size()) {
-    const std::size_t left = bytes.size() - off;
-    if (left < wire::kFrameLenBytes) break;  // torn mid length-prefix
-    const std::uint32_t rest_len =
-        static_cast<std::uint32_t>(bytes[off]) |
-        (static_cast<std::uint32_t>(bytes[off + 1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[off + 2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[off + 3]) << 24);
-    // Reject impossible lengths before trusting them: a torn or bit-flipped
-    // prefix must not send the scan past the end of the buffer.
-    if (rest_len < wire::kFrameTypeBytes + wire::kFrameChecksumBytes) break;
-    if (left - wire::kFrameLenBytes < rest_len) break;  // torn mid frame
-    const std::uint8_t* payload = bytes.data() + off + wire::kFrameLenBytes;
-    const std::size_t payload_len = rest_len - wire::kFrameChecksumBytes;
-    const std::uint8_t* cksum_at = payload + payload_len;
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(cksum_at[0]) |
-        (static_cast<std::uint32_t>(cksum_at[1]) << 8) |
-        (static_cast<std::uint32_t>(cksum_at[2]) << 16) |
-        (static_cast<std::uint32_t>(cksum_at[3]) << 24);
-    if (wire::checksum32(payload, payload_len) != stored) break;
+  // Stop at the first frame that is cut short, fails its checksum, or is
+  // checksummed but malformed: everything from there on is the torn tail.
+  // The length prefix is bounded by the bytes at hand before it is trusted.
+  while (bytes.size() - off >= wire::kFrameLenBytes) {
+    const std::uint8_t* at = bytes.data() + off;
+    const std::size_t total = wire::frame_extent(at);
+    wire::FrameView frame;
     WalRecord rec;
-    if (!decode_body(static_cast<WalRecordType>(payload[0]), payload + 1,
-                     payload_len - 1, rec)) {
-      break;  // checksum passed but the body is malformed: treat as torn
+    if (total > bytes.size() - off ||
+        wire::open_frame(at, total, frame) != wire::DecodeStatus::kOk ||
+        !decode_record(frame, rec)) {
+      break;
     }
     if (visit) visit(rec);
-    off += wire::kFrameLenBytes + rest_len;
+    off += total;
     ++result.records;
   }
   result.valid_bytes = off;

@@ -1,6 +1,8 @@
 // Per-partition write-ahead log with group commit (docs/DURABILITY.md).
 //
-// Records are framed exactly like wire frames (wire/codec.hpp):
+// Records are wire frames (wire/codec.hpp), sealed by the same
+// wire::append_frame and opened by the same wire::open_frame as protocol
+// messages, with bodies in the wire's field codecs:
 //
 //   [u32le rest_len][u8 record type][body][u32le FNV-1a32(type + body)]
 //

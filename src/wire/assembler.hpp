@@ -97,20 +97,14 @@ class FrameAssembler {
     used = 0;
     while (size - used >= kFrameLenBytes) {
       const std::uint8_t* p = data + used;
-      const std::uint32_t rest_len =
-          static_cast<std::uint32_t>(p[0]) |
-          (static_cast<std::uint32_t>(p[1]) << 8) |
-          (static_cast<std::uint32_t>(p[2]) << 16) |
-          (static_cast<std::uint32_t>(p[3]) << 24);
+      const std::size_t total = frame_extent(p);
       // Validate the claimed length before waiting for (or counting) a
       // single body byte. Below the tag+checksum minimum nothing could be a
       // frame; above the ceiling nothing should be.
-      if (rest_len < kFrameTypeBytes + kFrameChecksumBytes ||
-          kFrameLenBytes + static_cast<std::size_t>(rest_len) > max_frame_) {
+      if (total < kMinFrameSize || total > max_frame_) {
         error_ = true;
         return false;
       }
-      const std::size_t total = kFrameLenBytes + rest_len;
       if (size - used < total) break;  // frame incomplete; wait for more
       cb(p, total);
       ++frames_;

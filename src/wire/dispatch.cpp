@@ -128,27 +128,9 @@ void post(Cluster& cl, NodeId from, NodeId to, M msg) {
       size);
 }
 
-template void post<protocol::ReadRequest>(Cluster&, NodeId, NodeId,
-                                          protocol::ReadRequest);
-template void post<protocol::ReadReply>(Cluster&, NodeId, NodeId,
-                                        protocol::ReadReply);
-template void post<protocol::PrepareRequest>(Cluster&, NodeId, NodeId,
-                                             protocol::PrepareRequest);
-template void post<protocol::PrepareReply>(Cluster&, NodeId, NodeId,
-                                           protocol::PrepareReply);
-template void post<protocol::ReplicateRequest>(Cluster&, NodeId, NodeId,
-                                               protocol::ReplicateRequest);
-template void post<protocol::CommitMessage>(Cluster&, NodeId, NodeId,
-                                            protocol::CommitMessage);
-template void post<protocol::AbortMessage>(Cluster&, NodeId, NodeId,
-                                           protocol::AbortMessage);
-template void post<protocol::DecisionRequest>(Cluster&, NodeId, NodeId,
-                                              protocol::DecisionRequest);
-template void post<protocol::DecisionReply>(Cluster&, NodeId, NodeId,
-                                            protocol::DecisionReply);
-template void post<protocol::DecisionReplicate>(Cluster&, NodeId, NodeId,
-                                                protocol::DecisionReplicate);
-template void post<protocol::DecisionReplicateAck>(
-    Cluster&, NodeId, NodeId, protocol::DecisionReplicateAck);
+#define STR_WIRE_POST(tag, id, name, M) \
+  template void post<protocol::M>(Cluster&, NodeId, NodeId, protocol::M);
+STR_WIRE_MESSAGES(STR_WIRE_POST)
+#undef STR_WIRE_POST
 
 }  // namespace str::wire

@@ -15,7 +15,7 @@
 //    the `deliver` overload set below). Installed as the Network's
 //    FrameHandler by the Cluster when wire mode is on.
 //
-// Correlation is carried in the messages themselves (ReadRequest::req_id,
+// Correlation is carried in the messages themselves (a read's req_id,
 // TxId + partition for votes and decisions), not in captured continuations,
 // which is what makes the serialized path possible at all.
 #pragma once
@@ -33,26 +33,14 @@ class Cluster;
 namespace str::wire {
 
 // -- routing table ------------------------------------------------------------
-// One overload per message type: route a decoded message to its handler on
-// node `to`. Used by both transports (closure payloads call these directly;
-// wire frames go through dispatch_frame).
+// One `deliver` overload per message-table row: route a decoded message to
+// its handler on node `to`. Used by both transports (closure payloads call
+// these directly; wire frames go through dispatch_frame).
 
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::ReadRequest& m);
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::ReadReply& m);
-void deliver(protocol::Cluster& cl, NodeId to,
-             const protocol::PrepareRequest& m);
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::PrepareReply& m);
-void deliver(protocol::Cluster& cl, NodeId to,
-             const protocol::ReplicateRequest& m);
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::CommitMessage& m);
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::AbortMessage& m);
-void deliver(protocol::Cluster& cl, NodeId to,
-             const protocol::DecisionRequest& m);
-void deliver(protocol::Cluster& cl, NodeId to, const protocol::DecisionReply& m);
-void deliver(protocol::Cluster& cl, NodeId to,
-             const protocol::DecisionReplicate& m);
-void deliver(protocol::Cluster& cl, NodeId to,
-             const protocol::DecisionReplicateAck& m);
+#define STR_WIRE_DELIVER(tag, id, name, M) \
+  void deliver(protocol::Cluster& cl, NodeId to, const protocol::M& m);
+STR_WIRE_MESSAGES(STR_WIRE_DELIVER)
+#undef STR_WIRE_DELIVER
 
 /// Decode one received frame and route it. Returns kOk when the message was
 /// delivered; any other status means the frame was rejected (and the caller
@@ -65,33 +53,10 @@ DecodeStatus dispatch_frame(protocol::Cluster& cl, NodeId to,
 template <class M>
 void post(protocol::Cluster& cl, NodeId from, NodeId to, M msg);
 
-extern template void post<protocol::ReadRequest>(protocol::Cluster&, NodeId,
-                                                 NodeId, protocol::ReadRequest);
-extern template void post<protocol::ReadReply>(protocol::Cluster&, NodeId,
-                                               NodeId, protocol::ReadReply);
-extern template void post<protocol::PrepareRequest>(protocol::Cluster&, NodeId,
-                                                    NodeId,
-                                                    protocol::PrepareRequest);
-extern template void post<protocol::PrepareReply>(protocol::Cluster&, NodeId,
-                                                  NodeId,
-                                                  protocol::PrepareReply);
-extern template void post<protocol::ReplicateRequest>(
-    protocol::Cluster&, NodeId, NodeId, protocol::ReplicateRequest);
-extern template void post<protocol::CommitMessage>(protocol::Cluster&, NodeId,
-                                                   NodeId,
-                                                   protocol::CommitMessage);
-extern template void post<protocol::AbortMessage>(protocol::Cluster&, NodeId,
-                                                  NodeId,
-                                                  protocol::AbortMessage);
-extern template void post<protocol::DecisionRequest>(protocol::Cluster&, NodeId,
-                                                     NodeId,
-                                                     protocol::DecisionRequest);
-extern template void post<protocol::DecisionReply>(protocol::Cluster&, NodeId,
-                                                   NodeId,
-                                                   protocol::DecisionReply);
-extern template void post<protocol::DecisionReplicate>(
-    protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicate);
-extern template void post<protocol::DecisionReplicateAck>(
-    protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicateAck);
+#define STR_WIRE_EXTERN_POST(tag, id, name, M)                             \
+  extern template void post<protocol::M>(protocol::Cluster&, NodeId, NodeId, \
+                                         protocol::M);
+STR_WIRE_MESSAGES(STR_WIRE_EXTERN_POST)
+#undef STR_WIRE_EXTERN_POST
 
 }  // namespace str::wire

@@ -1,17 +1,18 @@
 // Typed wire codec for every protocol message (docs/WIRE.md).
 //
-// One stable type tag and one encode/decode pair per struct in
-// protocol/messages.hpp. `encode_frame` seals a message into a
-// checksummed, length-prefixed frame (wire/codec.hpp); `decode_frame`
-// verifies and opens one, rejecting — never crashing on — truncated,
-// corrupted, or trailing-garbage input. `frame_size` predicts the exact
-// encoded size without building the buffer, which is what the closure-mode
-// transport feeds the network's byte accounting so that both transport
-// modes report identical traffic.
+// Each struct in protocol/messages.hpp has one row in the message table
+// (stable tag, enumerator, name) and one field list in wire order; encode,
+// decode and the exact size are all derived from those (wire/codec.hpp
+// "field codecs"). `encode_frame` seals a message into a checksummed,
+// length-prefixed frame; `decode_frame` verifies and opens one, rejecting —
+// never crashing on — truncated, corrupted, or trailing-garbage input.
+// `frame_size` predicts the exact encoded size without building the buffer,
+// which is what the closure-mode transport feeds the network's byte
+// accounting so that both transport modes report identical traffic.
 //
 // Versioning rules (see docs/WIRE.md "Versioning"): tags are append-only
-// and never reused; fields are encoded in declaration order and new fields
-// are appended, never inserted.
+// and never reused; fields are encoded in list order and new fields are
+// appended, never inserted.
 #pragma once
 
 #include <cstdint>
@@ -22,165 +23,184 @@
 
 namespace str::wire {
 
-/// Stable message-type tags. Append new types at the end; never renumber
-/// or reuse a tag (a decoder must be able to reject frames from a newer
-/// peer instead of misinterpreting them).
+/// The message table: one row per protocol message — stable tag,
+/// MessageType enumerator, snake_case name (`wire.msgs.<name>` counters,
+/// logs), struct in `protocol::`. Every per-type list in src/wire/ is
+/// generated from it. Append new rows at the end; never renumber or reuse a
+/// tag (a decoder must be able to reject frames from a newer peer instead
+/// of misinterpreting them). Tags are dense from 1.
+#define STR_WIRE_MESSAGES(X)                                                \
+  X(1, kReadRequest, "read_request", ReadRequest)                           \
+  X(2, kReadReply, "read_reply", ReadReply)                                 \
+  X(3, kPrepareRequest, "prepare_request", PrepareRequest)                  \
+  X(4, kPrepareReply, "prepare_reply", PrepareReply)                        \
+  X(5, kReplicateRequest, "replicate_request", ReplicateRequest)            \
+  X(6, kCommit, "commit", CommitMessage)                                    \
+  X(7, kAbort, "abort", AbortMessage)                                       \
+  X(8, kDecisionRequest, "decision_request", DecisionRequest)               \
+  X(9, kDecisionReply, "decision_reply", DecisionReply)                     \
+  X(10, kDecisionReplicate, "decision_replicate", DecisionReplicate)        \
+  X(11, kDecisionReplicateAck, "decision_replicate_ack", DecisionReplicateAck)
+
 enum class MessageType : std::uint8_t {
-  kReadRequest = 1,
-  kReadReply = 2,
-  kPrepareRequest = 3,
-  kPrepareReply = 4,
-  kReplicateRequest = 5,
-  kCommit = 6,
-  kAbort = 7,
-  kDecisionRequest = 8,
-  kDecisionReply = 9,
-  kDecisionReplicate = 10,
-  kDecisionReplicateAck = 11,
+#define STR_WIRE_ENUMERATOR(tag, id, name, M) id = tag,
+  STR_WIRE_MESSAGES(STR_WIRE_ENUMERATOR)
+#undef STR_WIRE_ENUMERATOR
 };
 
 inline constexpr std::uint8_t kMinMessageType = 1;
-inline constexpr std::uint8_t kMaxMessageType = 11;
+inline constexpr std::uint8_t kMaxMessageType = 0
+#define STR_WIRE_COUNT(tag, id, name, M) +1
+    STR_WIRE_MESSAGES(STR_WIRE_COUNT);
+#undef STR_WIRE_COUNT
 inline constexpr std::size_t kNumMessageTypes = kMaxMessageType + 1;
+
+// Dense tags: in range here, distinct by the to_string switch.
+#define STR_WIRE_IN_RANGE(tag, id, name, M) \
+  static_assert(tag >= kMinMessageType && tag <= kMaxMessageType);
+STR_WIRE_MESSAGES(STR_WIRE_IN_RANGE)
+#undef STR_WIRE_IN_RANGE
 
 /// snake_case name for metrics / logs ("read_request", ...).
 const char* to_string(MessageType t);
 
-/// Why a frame was rejected. Anything but kOk means "not delivered".
-enum class DecodeStatus : std::uint8_t {
-  kOk,
-  kTooShort,      ///< shorter than the fixed frame overhead
-  kBadLength,     ///< length prefix disagrees with the datagram size
-  kBadChecksum,   ///< checksum mismatch (bit corruption)
-  kBadType,       ///< unknown message-type tag
-  kBadBody,       ///< body malformed: underflow, bad enum, trailing bytes
-};
-
-const char* to_string(DecodeStatus s);
-
-/// Compile-time tag lookup: type_tag<protocol::ReadRequest>() etc.
+/// Compile-time tag lookup for message struct M.
 template <class M>
 constexpr MessageType type_tag();
 
-template <>
-constexpr MessageType type_tag<protocol::ReadRequest>() {
-  return MessageType::kReadRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::ReadReply>() {
-  return MessageType::kReadReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::PrepareRequest>() {
-  return MessageType::kPrepareRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::PrepareReply>() {
-  return MessageType::kPrepareReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::ReplicateRequest>() {
-  return MessageType::kReplicateRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::CommitMessage>() {
-  return MessageType::kCommit;
-}
-template <>
-constexpr MessageType type_tag<protocol::AbortMessage>() {
-  return MessageType::kAbort;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionRequest>() {
-  return MessageType::kDecisionRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReply>() {
-  return MessageType::kDecisionReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReplicate>() {
-  return MessageType::kDecisionReplicate;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReplicateAck>() {
-  return MessageType::kDecisionReplicateAck;
+#define STR_WIRE_TYPE_TAG(tag, id, name, M)              \
+  template <>                                            \
+  constexpr MessageType type_tag<protocol::M>() {        \
+    return MessageType::id;                              \
+  }
+STR_WIRE_MESSAGES(STR_WIRE_TYPE_TAG)
+#undef STR_WIRE_TYPE_TAG
+
+/// A decoded message of any type (monostate = nothing decoded).
+#define STR_WIRE_ALTERNATIVE(tag, id, name, M) , protocol::M
+using AnyMessage =
+    std::variant<std::monostate STR_WIRE_MESSAGES(STR_WIRE_ALTERNATIVE)>;
+#undef STR_WIRE_ALTERNATIVE
+
+// -- field lists --------------------------------------------------------------
+// One per message, in wire order. Each ends with the optional trace context
+// (docs/WIRE.md "Trace context"), which must stay last.
+
+void fields(auto& f, Of<protocol::ReadRequest> auto& m) {
+  f(m.reader);
+  f(m.reader_node);
+  f(m.req_id);
+  f(m.key);
+  f(m.rs);
+  f.trailing(m.tspan);
 }
 
-// -- per-type body codec ------------------------------------------------------
-// encode_body appends the message fields; decode_body parses them and
-// returns false on malformed input (bounds, enum ranges). body_size returns
-// exactly what encode_body would append.
+void fields(auto& f, Of<protocol::ReadReply> auto& m) {
+  f(m.reader);
+  f(m.req_id);
+  f(m.key);
+  f(m.found);
+  f(m.value);
+  f(m.writer);
+  f(m.version_ts);
+  f.trailing(m.tspan);
+}
 
-void encode_body(Writer& w, const protocol::ReadRequest& m);
-void encode_body(Writer& w, const protocol::ReadReply& m);
-void encode_body(Writer& w, const protocol::PrepareRequest& m);
-void encode_body(Writer& w, const protocol::PrepareReply& m);
-void encode_body(Writer& w, const protocol::ReplicateRequest& m);
-void encode_body(Writer& w, const protocol::CommitMessage& m);
-void encode_body(Writer& w, const protocol::AbortMessage& m);
-void encode_body(Writer& w, const protocol::DecisionRequest& m);
-void encode_body(Writer& w, const protocol::DecisionReply& m);
-void encode_body(Writer& w, const protocol::DecisionReplicate& m);
-void encode_body(Writer& w, const protocol::DecisionReplicateAck& m);
+void fields(auto& f, Of<protocol::PrepareRequest> auto& m) {
+  f(m.tx);
+  f(m.coordinator);
+  f(m.partition);
+  f(m.rs);
+  f(m.updates);
+  f.trailing(m.tspan);
+}
 
-bool decode_body(Reader& r, protocol::ReadRequest& m);
-bool decode_body(Reader& r, protocol::ReadReply& m);
-bool decode_body(Reader& r, protocol::PrepareRequest& m);
-bool decode_body(Reader& r, protocol::PrepareReply& m);
-bool decode_body(Reader& r, protocol::ReplicateRequest& m);
-bool decode_body(Reader& r, protocol::CommitMessage& m);
-bool decode_body(Reader& r, protocol::AbortMessage& m);
-bool decode_body(Reader& r, protocol::DecisionRequest& m);
-bool decode_body(Reader& r, protocol::DecisionReply& m);
-bool decode_body(Reader& r, protocol::DecisionReplicate& m);
-bool decode_body(Reader& r, protocol::DecisionReplicateAck& m);
+void fields(auto& f, Of<protocol::PrepareReply> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f(m.from);
+  f(m.prepared);
+  f(m.proposed_ts);
+  f.trailing(m.tspan);
+}
 
-std::size_t body_size(const protocol::ReadRequest& m);
-std::size_t body_size(const protocol::ReadReply& m);
-std::size_t body_size(const protocol::PrepareRequest& m);
-std::size_t body_size(const protocol::PrepareReply& m);
-std::size_t body_size(const protocol::ReplicateRequest& m);
-std::size_t body_size(const protocol::CommitMessage& m);
-std::size_t body_size(const protocol::AbortMessage& m);
-std::size_t body_size(const protocol::DecisionRequest& m);
-std::size_t body_size(const protocol::DecisionReply& m);
-std::size_t body_size(const protocol::DecisionReplicate& m);
-std::size_t body_size(const protocol::DecisionReplicateAck& m);
+void fields(auto& f, Of<protocol::ReplicateRequest> auto& m) {
+  f(m.tx);
+  f(m.coordinator);
+  f(m.partition);
+  f(m.rs);
+  f(m.updates);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::CommitMessage> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f(m.commit_ts);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::AbortMessage> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::DecisionRequest> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f(m.from);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::DecisionReply> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f(m.decision, protocol::TxDecision::Aborted);
+  f(m.commit_ts);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::DecisionReplicate> auto& m) {
+  f(m.tx);
+  f(m.origin);
+  f(m.commit_ts);
+  f(m.decided_at);
+  f.trailing(m.tspan);
+}
+
+void fields(auto& f, Of<protocol::DecisionReplicateAck> auto& m) {
+  f(m.tx);
+  f(m.partition);
+  f(m.from);
+  f(m.kind, protocol::DecisionAckKind::kNoRecord);
+  f(m.commit_ts);
+  f.trailing(m.tspan);
+}
 
 // -- frames -------------------------------------------------------------------
-
-/// Seal `m` into a complete frame (length prefix, tag, body, checksum).
-template <class M>
-Buffer encode_frame(const M& m) {
-  Buffer out;
-  const std::size_t body = body_size(m);
-  out.reserve(kFrameOverhead + body);
-  Writer w(out);
-  w.u32le(static_cast<std::uint32_t>(kFrameTypeBytes + body +
-                                     kFrameChecksumBytes));
-  w.u8(static_cast<std::uint8_t>(type_tag<M>()));
-  encode_body(w, m);
-  w.u32le(checksum32(out.data() + kFrameLenBytes,
-                     out.size() - kFrameLenBytes));
-  return out;
-}
 
 /// Exact size encode_frame(m) would produce, without building it. This is
 /// the number both transport modes charge to the network byte counters.
 template <class M>
 std::size_t frame_size(const M& m) {
-  return kFrameOverhead + body_size(m);
+  SizeCounter n;
+  Encoder<SizeCounter> e(n);
+  fields(e, m);
+  return kFrameOverhead + n.size();
 }
 
-/// A decoded message of any type (monostate = nothing decoded).
-using AnyMessage =
-    std::variant<std::monostate, protocol::ReadRequest, protocol::ReadReply,
-                 protocol::PrepareRequest, protocol::PrepareReply,
-                 protocol::ReplicateRequest, protocol::CommitMessage,
-                 protocol::AbortMessage, protocol::DecisionRequest,
-                 protocol::DecisionReply, protocol::DecisionReplicate,
-                 protocol::DecisionReplicateAck>;
+/// Seal `m` into a complete frame (length prefix, tag, body, checksum).
+template <class M>
+Buffer encode_frame(const M& m) {
+  Buffer out;
+  out.reserve(frame_size(m));
+  append_frame(out, static_cast<std::uint8_t>(type_tag<M>()), [&](Writer& w) {
+    Encoder<Writer> e(w);
+    fields(e, m);
+  });
+  return out;
+}
 
 /// Verify and open one datagram-framed message. On any status but kOk,
 /// `out` holds std::monostate. Never reads out of bounds and never throws —

@@ -49,6 +49,26 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
   snap.push_back({8, 60, VersionState::PreCommitted, TxId{4, 2}, nullptr});
   encode_checkpoint(log, /*watermark=*/45, snap);
 
+  // On-disk layout pin: logs written by older builds must stay readable, so
+  // any change to these bytes is a format break, not a refactor.
+  const wire::Buffer pinned = {
+      // kPrepare
+      0x13, 0x00, 0x00, 0x00, 0x01, 0x02, 0x0b, 0x64, 0x78, 0x02, 0x07, 0x01,
+      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0xe2, 0x7c, 0x96, 0xa4,
+      // kCommit
+      0x13, 0x00, 0x00, 0x00, 0x02, 0x02, 0x0b, 0x82, 0x01, 0x02, 0x07, 0x01,
+      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0x9a, 0xd1, 0xf1, 0xac,
+      // kAbort
+      0x07, 0x00, 0x00, 0x00, 0x03, 0x03, 0x05, 0x4a, 0x7a, 0x07, 0x91,
+      // kDecision
+      0x0b, 0x00, 0x00, 0x00, 0x04, 0x02, 0x0b, 0x82, 0x01, 0x8c, 0x01, 0x73,
+      0xb2, 0x9f, 0xfc,
+      // kCheckpoint
+      0x15, 0x00, 0x00, 0x00, 0x05, 0x2d, 0x02, 0x07, 0x32, 0x02, 0x01, 0x01,
+      0x01, 0x01, 0x78, 0x08, 0x3c, 0x00, 0x04, 0x02, 0x00, 0xa9, 0xc8, 0xb5,
+      0xfe};
+  EXPECT_EQ(log, pinned);
+
   WalScanResult result;
   const auto records = scan_all(log, &result);
   ASSERT_EQ(records.size(), 5u);
@@ -118,22 +138,31 @@ TEST(WalCodec, ScanStopsAtABitFlip) {
 
 TEST(WalCodec, ScanRejectsAChecksummedButMalformedBody) {
   // A frame whose checksum is valid but whose body is garbage for its type
-  // must stop the scan (defense against logic bugs, not just bit rot).
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kCommit));
-  w.u8(0xff);  // not a decodable commit body
-  wire::Buffer log;
-  wire::Writer fw(log);
-  fw.u32le(static_cast<std::uint32_t>(payload.size() + 4));
-  fw.bytes(payload.data(), payload.size());
-  fw.u32le(wire::checksum32(payload.data(), payload.size()));
+  // must stop the scan (defense against logic bugs, not just bit rot). The
+  // frames are sealed with the shared sealer, so the checksum passes and
+  // the body check is what rejects them.
+  wire::Buffer wide_node;
+  wire::Writer nw(wide_node);
+  nw.varint((std::uint64_t{1} << 32) + 1);
+  nw.varint(1);
+  const std::vector<std::pair<WalRecordType, wire::Buffer>> bodies = {
+      {WalRecordType::kCommit, {0xff}},  // varint cut off: not a commit body
+      {WalRecordType::kAbort, wide_node},  // TxId node does not fit a NodeId
+  };
+  for (const auto& [type, body] : bodies) {
+    wire::Buffer log;
+    wire::append_frame(log, static_cast<std::uint8_t>(type),
+                       [&](wire::Writer& w) {
+                         w.buffer().insert(w.buffer().end(), body.begin(),
+                                           body.end());
+                       });
 
-  WalScanResult r;
-  const auto records = scan_all(log, &r);
-  EXPECT_TRUE(records.empty());
-  EXPECT_EQ(r.valid_bytes, 0u);
-  EXPECT_TRUE(r.torn);
+    WalScanResult r;
+    const auto records = scan_all(log, &r);
+    EXPECT_TRUE(records.empty());
+    EXPECT_EQ(r.valid_bytes, 0u);
+    EXPECT_TRUE(r.torn);
+  }
 }
 
 // -- group commit over SimMedium --------------------------------------------

@@ -9,9 +9,12 @@
 //
 // Run with --help for the full option list.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -163,6 +166,35 @@ bool split_fields(const std::string& s, std::vector<double>& out,
   return out.size() >= min_fields && out.size() <= max_fields;
 }
 
+/// Whole-string count in [min, 2^32-1]; false on junk, overflow, or a value
+/// below `min` (atoi would wrap "-3" into four billion clients).
+bool parse_count(const char* v, long long min, std::uint32_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < min ||
+      n > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  out = static_cast<std::uint32_t>(n);
+  return true;
+}
+
+/// Whole-string duration: a finite, non-negative number of seconds.
+bool parse_seconds(const char* v, double& out) {
+  char* end = nullptr;
+  const double d = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(d) || d < 0) return false;
+  out = d;
+  return true;
+}
+
+/// Report a flag value that failed its parse; always false.
+bool bad_value(const std::string& flag, const char* wants, const char* v) {
+  std::fprintf(stderr, "%s wants %s, got %s\n", flag.c_str(), wants, v);
+  return false;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -186,35 +218,44 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.protocol = v;
     } else if (arg == "--clients") {
       if ((v = next()) == nullptr) return false;
-      opt.clients = std::atoi(v);
+      if (!parse_count(v, 0, opt.clients)) {
+        return bad_value(arg, "a non-negative count", v);
+      }
     } else if (arg == "--nodes") {
       if ((v = next()) == nullptr) return false;
-      opt.nodes = std::atoi(v);
+      if (!parse_count(v, 1, opt.nodes)) {
+        return bad_value(arg, "a positive count", v);
+      }
     } else if (arg == "--rf") {
       if ((v = next()) == nullptr) return false;
-      opt.rf = std::atoi(v);
+      if (!parse_count(v, 1, opt.rf)) {
+        return bad_value(arg, "a positive count", v);
+      }
     } else if (arg == "--duration") {
       if ((v = next()) == nullptr) return false;
-      opt.duration_s = std::atof(v);
+      if (!parse_seconds(v, opt.duration_s)) {
+        return bad_value(arg, "a finite, non-negative number of seconds", v);
+      }
     } else if (arg == "--warmup") {
       if ((v = next()) == nullptr) return false;
-      opt.warmup_s = std::atof(v);
+      if (!parse_seconds(v, opt.warmup_s)) {
+        return bad_value(arg, "a finite, non-negative number of seconds", v);
+      }
     } else if (arg == "--seed") {
       if ((v = next()) == nullptr) return false;
       opt.seed = std::atoll(v);
     } else if (arg == "--threads") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--threads wants a positive count\n");
-        return false;
+      if (!parse_count(v, 1, opt.threads)) {
+        return bad_value(arg, "a positive count", v);
       }
-      opt.threads = static_cast<std::uint32_t>(n);
     } else if (arg == "--tuner") {
       opt.tuner = true;
     } else if (arg == "--reps") {
       if ((v = next()) == nullptr) return false;
-      opt.reps = std::atoi(v);
+      std::uint32_t reps = 0;
+      if (!parse_count(v, 1, reps)) return bad_value(arg, "a positive count", v);
+      opt.reps = reps;
     } else if (arg == "--csv") {
       if ((v = next()) == nullptr) return false;
       opt.csv = v;
@@ -257,12 +298,11 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.transport = v;
     } else if (arg == "--transport-port") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1 || n > 65535) {
-        std::fprintf(stderr, "--transport-port wants a port in [1,65535]\n");
-        return false;
+      std::uint32_t port = 0;
+      if (!parse_count(v, 1, port) || port > 65535) {
+        return bad_value(arg, "a port in [1,65535]", v);
       }
-      opt.transport_port = n;
+      opt.transport_port = static_cast<int>(port);
     } else if (arg == "--partition") {
       if ((v = next()) == nullptr) return false;
       std::vector<double> f;
@@ -303,7 +343,9 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.verify = true;
     } else if (arg == "--drain") {
       if ((v = next()) == nullptr) return false;
-      opt.drain_s = std::atof(v);
+      if (!parse_seconds(v, opt.drain_s)) {
+        return bad_value(arg, "a finite, non-negative number of seconds", v);
+      }
     } else if (arg == "--wal") {
       opt.wal = true;
     } else if (arg == "--wal-dir") {
@@ -319,29 +361,20 @@ bool parse(int argc, char** argv, Options& opt) {
       }
     } else if (arg == "--wal-batch") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--wal-batch wants a positive count\n");
-        return false;
+      if (!parse_count(v, 1, opt.wal_batch)) {
+        return bad_value(arg, "a positive count", v);
       }
-      opt.wal_batch = static_cast<std::uint32_t>(n);
     } else if (arg == "--decision-quorum") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--decision-quorum wants a positive count\n");
-        return false;
+      if (!parse_count(v, 1, opt.decision_quorum)) {
+        return bad_value(arg, "a positive count", v);
       }
-      opt.decision_quorum = static_cast<std::uint32_t>(n);
       opt.wal = true;
     } else if (arg == "--replica-group") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--replica-group wants a positive count\n");
-        return false;
+      if (!parse_count(v, 1, opt.replica_group)) {
+        return bad_value(arg, "a positive count", v);
       }
-      opt.replica_group = static_cast<std::uint32_t>(n);
     } else if (arg == "--torn-write") {
       if ((v = next()) == nullptr) return false;
       const double p = std::atof(v);
