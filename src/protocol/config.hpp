@@ -64,12 +64,15 @@ struct DurabilityConfig {
   /// ...or this long after the first unflushed record, whichever is first.
   Timestamp group_commit_interval = msec(2);
 
-  /// Checkpoint a partition WAL (snapshot + truncate) once it exceeds this
-  /// many durable bytes and the log is idle.
+  /// Checkpoint an idle partition WAL (snapshot + truncate) once the bytes
+  /// appended since its last checkpoint reach max(this floor, the size of
+  /// that checkpoint) — docs/DURABILITY.md §5. The log stays under about
+  /// twice its snapshot; each appended byte pays for about one rewritten.
   std::uint64_t checkpoint_min_bytes = 64 * 1024;
 
-  /// Compact the per-node decision log once it exceeds this many durable
-  /// bytes (entries older than the retention horizon are dropped).
+  /// The same rule's floor for the per-node decision log: compact it (drop
+  /// entries older than the retention horizon) once the bytes appended
+  /// since its last compaction reach max(this, that compaction's size).
   std::uint64_t decision_log_max_bytes = 256 * 1024;
 
   /// Empty: deterministic in-memory media (SimMedium). Non-empty: a

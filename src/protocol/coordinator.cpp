@@ -1393,26 +1393,39 @@ void Coordinator::maintain(Timestamp now) {
   if (decided_.empty() && decision_wal_ == nullptr) return;
   const Timestamp keep = node_.cluster().protocol().recovery.decision_log_retention;
   const Timestamp cutoff = now > keep ? now - keep : 0;
-  std::erase_if(decided_,
-                [cutoff](const auto& kv) { return kv.second.at < cutoff; });
-  // Size-triggered decision-log compaction: rewrite the surviving entries.
-  // Only when idle — a pending decision sync holds a live offset into the
-  // log that a rewrite would invalidate.
-  if (decision_wal_ != nullptr && node_.up() && decision_wal_->idle()) {
-    const std::uint64_t max_bytes =
-        node_.cluster().protocol().durability.decision_log_max_bytes;
-    if (decision_wal_->end_offset() > max_bytes) {
-      std::vector<std::pair<TxId, Decision>> keep_entries(decided_.begin(),
-                                                          decided_.end());
-      std::sort(keep_entries.begin(), keep_entries.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      wire::Buffer log;
-      for (const auto& [tx, d] : keep_entries) {
-        if (d.decision != TxDecision::Committed) continue;
-        storage::encode_decision(log, tx, d.commit_ts, d.at);
+  // A commit decision outlives its retention while one of this node's
+  // partition logs still holds the commit record it validates at replay:
+  // dropping it would turn that record into a presumed abort.
+  std::vector<TxId> pinned;
+  if (decision_wal_ != nullptr) {
+    for (const auto& [pid, actor] : node_.replicas()) {
+      for (const auto& [tx, ct] : actor->own_commit_records()) {
+        pinned.push_back(tx);
       }
-      decision_wal_->rewrite(std::move(log));
     }
+    std::sort(pinned.begin(), pinned.end());
+  }
+  std::erase_if(decided_, [cutoff, &pinned](const auto& kv) {
+    return kv.second.at < cutoff &&
+           !std::binary_search(pinned.begin(), pinned.end(), kv.first);
+  });
+  // Decision-log compaction: rewrite the surviving entries once the log has
+  // grown by its last compaction (at least decision_log_max_bytes) — the
+  // partition logs' checkpoint rule. Only when idle — a pending decision
+  // sync holds a live offset into the log that a rewrite would invalidate.
+  if (decision_wal_ != nullptr && node_.up() &&
+      decision_wal_->rewrite_due(
+          node_.cluster().protocol().durability.decision_log_max_bytes)) {
+    std::vector<std::pair<TxId, Decision>> keep_entries(decided_.begin(),
+                                                        decided_.end());
+    std::sort(keep_entries.begin(), keep_entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    wire::Buffer log;
+    for (const auto& [tx, d] : keep_entries) {
+      if (d.decision != TxDecision::Committed) continue;
+      storage::encode_decision(log, tx, d.commit_ts, d.at);
+    }
+    decision_wal_->rewrite(std::move(log));
   }
 }
 

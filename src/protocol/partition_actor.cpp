@@ -361,6 +361,7 @@ void PartitionActor::log_commit(const TxId& tx, Timestamp ct,
   wire::Buffer frame;
   storage::encode_commit(frame, tx, ct, store_.uncommitted_updates(tx));
   wal_->append(frame, std::move(on_durable));
+  own_commit_records_.emplace_back(tx, ct);
 }
 
 void PartitionActor::track_orphan(const TxId& tx, NodeId coordinator) {
@@ -575,6 +576,7 @@ void PartitionActor::on_crash() {
   parked_.clear();
   tombstones_.clear();
   awaiting_decision_.clear();
+  own_commit_records_.clear();  // replay_wal() rebuilds it from the log
   if (wal_ != nullptr) store_.clear_all();
 }
 
@@ -610,6 +612,7 @@ void PartitionActor::replay_wal() {
             store_.clear_all();
             staged.clear();
             installed.clear();
+            own_commit_records_.clear();
             for (const storage::CheckpointVersion& v : rec.snapshot) {
               if (v.state == VersionState::Committed) {
                 store_.replay_insert(
@@ -642,6 +645,9 @@ void PartitionActor::replay_wal() {
               break;
             }
             installed.push_back(rec.tx);
+            if (rec.tx.node == node_.id()) {
+              own_commit_records_.emplace_back(rec.tx, rec.ts);
+            }
             if (store_.has_uncommitted(rec.tx)) {
               // The checkpoint re-staged this pre-commit; finalize it.
               store_.final_commit(rec.tx, rec.ts);
@@ -729,20 +735,33 @@ void PartitionActor::maintain(Timestamp prune_horizon,
   tombstones_.erase_if([tombstone_horizon](const TxId&, Timestamp at) {
     return at < tombstone_horizon;
   });
-  // Checkpoint/truncate: once the log outgrows the threshold and is idle
-  // (idle => every appended record is durable and no offsets are live),
-  // replace it with one checkpoint record snapshotting the store. The
-  // watermark rides along as metadata. Never on a down node — its store was
-  // wiped at crash and the log is the only copy until replay.
-  if (wal_ != nullptr && node_.up() && wal_->idle() &&
-      wal_->medium().durable().size() >=
-          node_.cluster().protocol().durability.checkpoint_min_bytes) {
+  // Checkpoint/truncate: once the log has grown by its last checkpoint (at
+  // least checkpoint_min_bytes) and is idle (idle => every appended record
+  // is durable and no offsets are live), replace it with one checkpoint
+  // record snapshotting the store. The watermark rides along as metadata.
+  // Never on a down node — its store was wiped at crash and the log is the
+  // only copy until replay.
+  if (wal_ != nullptr && node_.up() &&
+      wal_->rewrite_due(
+          node_.cluster().protocol().durability.checkpoint_min_bytes)) {
     std::vector<storage::CheckpointVersion> snap;
     for (const auto& [key, v] : store_.dump_versions()) {
       snap.push_back({key, v.ts, v.state, v.writer, v.value});
     }
     wire::Buffer bytes;
     storage::encode_checkpoint(bytes, prune_horizon, snap);
+    // Own transactions still uncommitted here are commit-logged but not yet
+    // applied (decision fsync or quorum pending). The snapshot holds their
+    // versions as own speculation, which replay presumes aborted, so their
+    // commit records are carried forward, in log order: replay installs
+    // them once the decision survived and presumes abort otherwise, as it
+    // would have before the rewrite.
+    std::erase_if(own_commit_records_, [this](const auto& rec) {
+      return !store_.has_uncommitted(rec.first);
+    });
+    for (const auto& [tx, ct] : own_commit_records_) {
+      storage::encode_commit(bytes, tx, ct, store_.uncommitted_updates(tx));
+    }
     wal_->rewrite(std::move(bytes));
   }
 }

@@ -132,6 +132,15 @@ class PartitionActor {
   /// Prepared remote transactions currently awaiting a coordinator decision.
   std::size_t awaiting_decisions() const { return awaiting_decision_.size(); }
 
+  /// This node's own transactions with a commit record in this log after
+  /// its last checkpoint (carried-forward records included), in log order,
+  /// with their commit timestamps. Replay installs each record only if the
+  /// transaction's decision survived, so the coordinator keeps those
+  /// decisions past their retention (Coordinator::maintain).
+  const std::vector<std::pair<TxId, Timestamp>>& own_commit_records() const {
+    return own_commit_records_;
+  }
+
  private:
   struct ParkedRead {
     TxId reader;
@@ -181,6 +190,8 @@ class PartitionActor {
   store::PartitionStore store_;
   /// Per-replica write-ahead log; nullptr when durability is off.
   std::unique_ptr<storage::Wal> wal_;
+  /// See own_commit_records().
+  std::vector<std::pair<TxId, Timestamp>> own_commit_records_;
   std::unordered_map<TxId, std::vector<ParkedRead>, TxIdHash> parked_;
   /// Snapshots of reads between resolve_writer() moving them out of
   /// parked_ and the deferred re-serve closure running. Maintenance can

@@ -27,7 +27,9 @@
 namespace str::sim {
 
 /// Fire-and-forget coroutine. The coroutine starts executing immediately on
-/// creation and destroys itself when it finishes.
+/// creation and destroys itself when it finishes. From its first suspension
+/// on, the scheduler that will resume it owns the frame, and destroys it if
+/// it is still suspended when the scheduler goes away.
 struct Fiber {
   struct promise_type {
     Fiber get_return_object() { return {}; }
@@ -35,6 +37,8 @@ struct Fiber {
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
     void unhandled_exception() { std::terminate(); }
+
+    FiberLink link;
   };
 };
 
@@ -80,9 +84,10 @@ class Future {
     return state_->value.has_value();
   }
 
-  void await_suspend(std::coroutine_handle<> h) noexcept {
+  void await_suspend(std::coroutine_handle<Fiber::promise_type> h) noexcept {
     STR_ASSERT_MSG(!state_->waiter, "Future supports a single waiter");
     state_->waiter = h;
+    state_->scheduler->own(h.promise().link, h);  // the resuming scheduler
   }
 
   T await_resume() {
@@ -146,7 +151,8 @@ class SleepAwaitable {
       : sched_(sched), delay_(delay) {}
 
   bool await_ready() const noexcept { return delay_ == 0; }
-  void await_suspend(std::coroutine_handle<> h) {
+  void await_suspend(std::coroutine_handle<Fiber::promise_type> h) {
+    sched_.own(h.promise().link, h);
     sched_.schedule_after(delay_, [h]() { h.resume(); });
   }
   void await_resume() const noexcept {}

@@ -6,6 +6,7 @@
 // reproducible interleaving of the distributed computation.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -15,9 +16,44 @@
 
 namespace str::sim {
 
+class Scheduler;
+
+/// The hook by which a Scheduler owns a suspended coroutine frame (each
+/// sim::Fiber's promise holds one; coro.hpp). A frame still suspended when
+/// its owner is destroyed is destroyed with it; a frame that finishes
+/// unlinks itself. Intrusive, so owning a frame allocates nothing.
+class FiberLink {
+ public:
+  FiberLink() = default;
+  FiberLink(const FiberLink&) = delete;
+  FiberLink& operator=(const FiberLink&) = delete;
+  ~FiberLink() { unlink(); }
+
+ private:
+  friend class Scheduler;
+  void unlink();
+
+  Scheduler* owner_ = nullptr;
+  FiberLink* prev_ = nullptr;
+  FiberLink* next_ = nullptr;
+  std::coroutine_handle<> frame_;
+};
+
 class Scheduler {
  public:
+  Scheduler() = default;
+  /// Destroys the frames of fibers still suspended (they can never resume:
+  /// their wake-ups die with the queue).
+  ~Scheduler();
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+
   Timestamp now() const { return now_; }
+
+  /// Take ownership of the suspended coroutine `frame` through its `link`,
+  /// until the frame finishes. The first owner keeps it: a fiber stays with
+  /// the scheduler it first suspended on (its shard, under sharding).
+  void own(FiberLink& link, std::coroutine_handle<> frame);
 
   void schedule_at(Timestamp at, UniqueFunction<void()> fn);
   void schedule_after(Timestamp delay, UniqueFunction<void()> fn) {
@@ -68,9 +104,12 @@ class Scheduler {
   std::uint64_t executed() const { return executed_; }
 
  private:
+  friend class FiberLink;
+
   EventQueue queue_;
   Timestamp now_ = 0;
   std::uint64_t executed_ = 0;
+  FiberLink* fibers_ = nullptr;  ///< owned suspended frames (list head)
 };
 
 }  // namespace str::sim

@@ -65,6 +65,20 @@ bool decode_record(const wire::FrameView& frame, WalRecord& rec) {
   return r.ok() && r.remaining() == 0;
 }
 
+/// Extent of the checkpoint record that `bytes` begins with; 0 when the
+/// log does not begin with an intact one.
+std::uint64_t leading_checkpoint_bytes(const wire::Buffer& bytes) {
+  if (bytes.size() < wire::kFrameLenBytes) return 0;
+  const std::size_t total = wire::frame_extent(bytes.data());
+  wire::FrameView frame;
+  if (total > bytes.size() ||
+      wire::open_frame(bytes.data(), total, frame) != wire::DecodeStatus::kOk ||
+      frame.type != static_cast<std::uint8_t>(WalRecordType::kCheckpoint)) {
+    return 0;
+  }
+  return total;
+}
+
 }  // namespace
 
 void encode_prepare(wire::Buffer& out, const TxId& tx, Timestamp rs,
@@ -124,6 +138,7 @@ Wal::Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium,
       options_(options),
       counters_(counters) {
   end_offset_ = medium_->durable().size();
+  rewrite_bytes_ = leading_checkpoint_bytes(medium_->durable());
 }
 
 std::uint64_t Wal::append(const wire::Buffer& frame_bytes,
@@ -211,6 +226,7 @@ void Wal::crash() {
   ++gen_;  // retire the deadline timer
   deadline_armed_ = false;
   end_offset_ = medium_->durable().size();
+  rewrite_bytes_ = 0;  // volatile: replay() reads it back from the log
 }
 
 std::uint64_t Wal::durable_prefix() const {
@@ -230,12 +246,14 @@ WalScanResult Wal::replay(const std::function<void(const WalRecord&)>& visit) {
     medium_->reset_durable(std::move(prefix));
   }
   end_offset_ = result.valid_bytes;
+  rewrite_bytes_ = leading_checkpoint_bytes(medium_->durable());
   return result;
 }
 
 void Wal::rewrite(wire::Buffer bytes) {
   STR_ASSERT_MSG(idle(), "Wal::rewrite on a busy log");
   end_offset_ = bytes.size();
+  rewrite_bytes_ = bytes.size();
   medium_->reset_durable(std::move(bytes));
   if (counters_.checkpoints != nullptr) counters_.checkpoints->inc();
 }

@@ -25,6 +25,12 @@
 //                 the stable watermark it was taken at). Replaces the log
 //                 prefix: replay starts from the latest checkpoint.
 //
+// A log is rewritten (checkpointed, or compacted for the decision log) by
+// one rule, rewrite_due(): once the bytes appended since the last rewrite
+// reach the size of that rewrite (and a floor), so the log stays under
+// about twice its snapshot and each appended byte pays for about one
+// rewritten byte.
+//
 // The Wal adds group-commit batching over a Medium: appends accumulate and
 // one sync covers the whole batch, beginning when the batch reaches
 // `group_commit_batch` records or `group_commit_interval` after the first
@@ -32,6 +38,7 @@
 // at the covering sync's completion, in append order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -142,7 +149,8 @@ class Wal {
   void sync(UniqueFunction<void()> cb);
 
   /// Fail-stop crash: the medium resolves its in-flight chunk (torn-write
-  /// faults live there) and every pending durability callback is dropped.
+  /// faults live there), every pending durability callback is dropped, and
+  /// the size of the last rewrite is forgotten until replay().
   void crash();
 
   /// Byte length of the validated durable prefix (checksum scan, no
@@ -165,6 +173,15 @@ class Wal {
   /// compacted decision log). Atomic, rename-style; requires idle().
   void rewrite(wire::Buffer bytes);
 
+  /// The compaction rule: the log is idle and the bytes appended since the
+  /// last rewrite reach max(`floor_bytes`, size of that rewrite). A log
+  /// that was never rewritten — or, after a restart, that does not begin
+  /// with a checkpoint — counts from zero.
+  bool rewrite_due(std::uint64_t floor_bytes) const {
+    return idle() && end_offset_ >= rewrite_bytes_ + std::max(floor_bytes,
+                                                              rewrite_bytes_);
+  }
+
   Medium& medium() { return *medium_; }
   const Medium& medium() const { return *medium_; }
 
@@ -181,6 +198,9 @@ class Wal {
   std::vector<UniqueFunction<void()>> inflight_cbs_;
   std::uint32_t pending_count_ = 0;
   std::uint64_t end_offset_ = 0;
+  /// Size of the last rewrite: set by rewrite(), and from the leading
+  /// checkpoint record when a log is adopted or replayed.
+  std::uint64_t rewrite_bytes_ = 0;
   std::uint64_t inflight_bytes_ = 0;
   bool force_next_ = false;  ///< sync() arrived while a flush was in flight
   /// Invalidates the armed deadline timer (bumped by begin_flush and crash).

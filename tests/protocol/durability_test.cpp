@@ -15,6 +15,10 @@
 
 #include "harness/experiment.hpp"
 #include "protocol/cluster.hpp"
+#include "protocol/node.hpp"
+#include "protocol/partition_actor.hpp"
+#include "protocol/partition_map.hpp"
+#include "storage/wal.hpp"
 #include "tests/protocol/test_util.hpp"
 #include "workload/synthetic.hpp"
 
@@ -153,7 +157,9 @@ TEST(Durability, DoubleCrashDoubleRestartReplaysIdempotently) {
 
 TEST(Durability, CheckpointTruncatesTheLogAndReplayStartsFromIt) {
   Cluster::Config cfg = wal_config(2, 2);
-  cfg.protocol.durability.checkpoint_min_bytes = 1;  // checkpoint every tick
+  // A 1-byte floor: a log is checkpointed at the first tick after it has
+  // grown by its last checkpoint, however small that was.
+  cfg.protocol.durability.checkpoint_min_bytes = 1;
   Cluster cluster(cfg);
   cluster.load(key_at(0, 1), "old");
   cluster.run_for(msec(10));
@@ -165,8 +171,8 @@ TEST(Durability, CheckpointTruncatesTheLogAndReplayStartsFromIt) {
     cluster.run_for(sec(1));
     ASSERT_EQ(w.result.outcome, TxOutcome::Committed);
   }
-  // Maintenance runs on gc_interval; with the 1-byte threshold every idle
-  // log gets rewritten down to a single checkpoint record.
+  // Maintenance runs on gc_interval; with the 1-byte floor every idle log
+  // that grew since its last rewrite becomes a single checkpoint record.
   cluster.run_for(sec(5));
   EXPECT_GT(counter_value(cluster, "wal.checkpoints"), 0u);
 
@@ -178,6 +184,244 @@ TEST(Durability, CheckpointTruncatesTheLogAndReplayStartsFromIt) {
   cluster.run_for(sec(1));
   ASSERT_TRUE(r.done);
   EXPECT_EQ(r.reads[0].value, "g3");
+  EXPECT_TRUE(cluster.quiesce_report().clean());
+}
+
+/// Records in partition `pid`'s durable log on `node`, front to back.
+std::vector<storage::WalRecord> durable_records(Cluster& cluster, NodeId node,
+                                                PartitionId pid) {
+  std::vector<storage::WalRecord> out;
+  storage::scan_wal(cluster.node(node).replica(pid)->wal()->medium().durable(),
+                    [&](const storage::WalRecord& rec) { out.push_back(rec); });
+  return out;
+}
+
+bool has_commit_record(const std::vector<storage::WalRecord>& records,
+                       const TxId& tx) {
+  for (const storage::WalRecord& rec : records) {
+    if (rec.type == storage::WalRecordType::kCommit && rec.tx == tx) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(Durability, CheckpointInsideTheCommitWindowKeepsTheLoggedCommit) {
+  // With a decision quorum of 2 the coordinator's commit record is durable
+  // a whole replica-group round trip before the decision is applied. A
+  // checkpoint taken in that window snapshots the write as this node's own
+  // uncommitted speculation, which replay presumes aborted: the rewrite must
+  // carry the commit record forward, or the acknowledged write is lost at
+  // the next crash.
+  Cluster::Config cfg = wal_config(3, 2);
+  cfg.protocol.durability.decision_quorum = 2;
+  cfg.protocol.durability.checkpoint_min_bytes = 1;
+  Cluster cluster(cfg);
+  const Key key = key_at(0, 1);
+  const PartitionId pid = PartitionMap::partition_of(key);
+  cluster.load(key, "old");
+  cluster.run_for(msec(10));
+
+  TxProbe w;
+  test::run_write(cluster, cluster.node(0).coordinator(), {key}, "new", w);
+  storage::Wal& wal = *cluster.node(0).replica(pid)->wal();
+  bool checkpointed = false;
+  for (int ms = 0; ms < 1000 && !w.done; ++ms) {
+    cluster.run_for(msec(1));
+    if (!wal.idle() || !has_commit_record(durable_records(cluster, 0, pid),
+                                          w.tx)) {
+      continue;
+    }
+    // The commit record is durable, the decision not yet applied.
+    ASSERT_FALSE(w.done);
+    ASSERT_TRUE(cluster.node(0).replica(pid)->store().has_uncommitted(w.tx));
+    cluster.node(0).replica(pid)->maintain(0, 0);
+    checkpointed = true;
+    break;
+  }
+  ASSERT_TRUE(checkpointed);
+  const auto after = durable_records(cluster, 0, pid);
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after.front().type, storage::WalRecordType::kCheckpoint);
+
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(w.done);
+  ASSERT_EQ(w.result.outcome, TxOutcome::Committed);
+
+  // Crash before the next maintenance tick could snapshot the applied
+  // commit.
+  cluster.crash_node(0);
+  cluster.restart_node(0);
+  cluster.run_for(sec(1));
+  TxProbe r;
+  test::run_reads(cluster, cluster.node(0).coordinator(), {key}, r);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(r.done);
+  ASSERT_EQ(r.reads.size(), 1u);
+  EXPECT_EQ(r.reads[0].value, "new");
+  EXPECT_TRUE(cluster.quiesce_report().clean());
+}
+
+TEST(Durability, CommitDecisionOutlivesItsRetentionWhileALogNeedsIt) {
+  // Replay installs an own transaction's commit record only if its decision
+  // survived. Here the partition log is never checkpointed (its floor is
+  // out of reach) while the decision log is compacted every tick with a
+  // 3 s retention: the decision must stay until the record is absorbed.
+  Cluster::Config cfg = wal_config(2, 2);
+  cfg.protocol.recovery.decision_log_retention = sec(3);
+  cfg.protocol.durability.decision_log_max_bytes = 1;
+  cfg.protocol.durability.checkpoint_min_bytes = 1 << 20;
+  Cluster cluster(cfg);
+  cluster.load(key_at(0, 1), "old");
+  cluster.run_for(msec(10));
+
+  TxProbe w;
+  test::run_write(cluster, cluster.node(0).coordinator(), {key_at(0, 1)},
+                  "new", w);
+  cluster.run_for(sec(1));
+  ASSERT_EQ(w.result.outcome, TxOutcome::Committed);
+  // Later decisions keep the decision log growing, so it is compacted well
+  // past the first decision's retention.
+  for (int i = 0; i < 10; ++i) {
+    TxProbe later;
+    test::run_write(cluster, cluster.node(0).coordinator(),
+                    {key_at(0, 2 + static_cast<Key>(i))}, "x", later);
+    cluster.run_for(sec(1));
+    ASSERT_EQ(later.result.outcome, TxOutcome::Committed);
+  }
+  EXPECT_GT(counter_value(cluster, "wal.checkpoints"), 1u);
+  const auto records = durable_records(cluster, 0, 0);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().type,
+            storage::WalRecordType::kCommit);  // never checkpointed
+
+  cluster.crash_node(0);
+  cluster.restart_node(0);
+  cluster.run_for(sec(1));
+  TxProbe r;
+  test::run_reads(cluster, cluster.node(0).coordinator(), {key_at(0, 1)}, r);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(r.done);
+  ASSERT_EQ(r.reads.size(), 1u);
+  EXPECT_EQ(r.reads[0].value, "new");
+  EXPECT_TRUE(cluster.quiesce_report().clean());
+}
+
+/// A 2-node cluster whose partition 0 holds `rows` preloaded rows of
+/// `value_bytes` each, so its first checkpoint is far above `floor`.
+Cluster::Config cadence_config(std::uint64_t floor) {
+  Cluster::Config cfg = wal_config(2, 2);
+  cfg.protocol.durability.checkpoint_min_bytes = floor;
+  return cfg;
+}
+
+void load_rows(Cluster& cluster, std::uint64_t rows, std::size_t value_bytes) {
+  for (std::uint64_t row = 1; row <= rows; ++row) {
+    cluster.load(key_at(0, row), std::string(value_bytes, 'a'));
+  }
+}
+
+/// One committed blind write of `value` to each of `keys` via node 0.
+void commit_write(Cluster& cluster, std::vector<Key> keys, const Value& value) {
+  TxProbe w;
+  test::run_write(cluster, cluster.node(0).coordinator(), std::move(keys),
+                  value, w);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(w.done);
+  ASSERT_EQ(w.result.outcome, TxOutcome::Committed);
+}
+
+TEST(Durability, CheckpointsGrowWithBytesAppendedNotWithTicks) {
+  // Partition 0's snapshot (~40 KB) is far above the 1 KiB floor. Light
+  // steady traffic appends a few hundred bytes per tick: the log is
+  // checkpointed once, after the load, and not again until it has grown by
+  // that snapshot — however many maintenance ticks pass.
+  Cluster cluster(cadence_config(1024));
+  load_rows(cluster, 400, 100);
+  cluster.run_for(sec(3));  // one maintenance tick checkpoints the load
+  const std::uint64_t after_load = counter_value(cluster, "wal.checkpoints");
+  EXPECT_EQ(after_load, 2u);  // partition 0's master and slave logs
+
+  for (int i = 0; i < 20; ++i) {  // 20 s: ten maintenance ticks
+    commit_write(cluster, {key_at(0, 1 + static_cast<Key>(i))},
+                 "light" + std::to_string(i));
+  }
+  EXPECT_EQ(counter_value(cluster, "wal.checkpoints"), after_load);
+
+  // Rewriting every row appends more than a snapshot's worth of commit
+  // records: now each log is checkpointed again.
+  for (std::uint64_t base = 1; base <= 400; base += 50) {
+    std::vector<Key> keys;
+    for (std::uint64_t row = base; row < base + 50; ++row) {
+      keys.push_back(key_at(0, row));
+    }
+    commit_write(cluster, keys, std::string(150, 'b'));
+  }
+  cluster.run_for(sec(3));
+  EXPECT_GE(counter_value(cluster, "wal.checkpoints"), after_load + 2);
+}
+
+TEST(Durability, RestartedLogCountsFromItsLeadingCheckpoint) {
+  // After a restart the log begins with the checkpoint it had before the
+  // crash. Replay must pick up that checkpoint's size: otherwise the whole
+  // log counts as appended and the idle node re-checkpoints at once.
+  Cluster cluster(cadence_config(1024));
+  load_rows(cluster, 400, 100);
+  cluster.run_for(sec(3));
+  const std::uint64_t before = counter_value(cluster, "wal.checkpoints");
+  ASSERT_EQ(before, 2u);
+
+  cluster.crash_node(0);
+  cluster.restart_node(0);
+  cluster.run_for(sec(10));  // five idle maintenance ticks
+  EXPECT_EQ(counter_value(cluster, "wal.checkpoints"), before);
+  const auto records = durable_records(cluster, 0, 0);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().type, storage::WalRecordType::kCheckpoint);
+  EXPECT_TRUE(cluster.quiesce_report().clean());
+}
+
+TEST(Durability, ReplayOfACheckpointAndALongTailRestoresTheLiveStore) {
+  // A checkpoint followed by dozens of commit records (the tail stays below
+  // the snapshot's size, so no rewrite absorbs it): the restarted node must
+  // serve exactly what it served before the crash.
+  Cluster cluster(cadence_config(1024));
+  constexpr std::uint64_t kRows = 200;
+  load_rows(cluster, kRows, 100);
+  cluster.run_for(sec(3));
+  ASSERT_EQ(counter_value(cluster, "wal.checkpoints"), 2u);
+
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t row = 1 + (static_cast<std::uint64_t>(i) * 7) % kRows;
+    const std::uint64_t next = row % kRows + 1;
+    commit_write(cluster, {key_at(0, row), key_at(0, next)},
+                 "tail" + std::to_string(i));
+  }
+  const auto records = durable_records(cluster, 0, 0);
+  ASSERT_GE(records.size(), 41u);
+  EXPECT_EQ(records.front().type, storage::WalRecordType::kCheckpoint);
+
+  std::vector<Key> keys;
+  for (std::uint64_t row = 1; row <= kRows; ++row) {
+    keys.push_back(key_at(0, row));
+  }
+  TxProbe live;
+  test::run_reads(cluster, cluster.node(0).coordinator(), keys, live);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(live.done);
+  ASSERT_EQ(live.reads.size(), kRows);
+
+  cluster.crash_node(0);
+  cluster.restart_node(0);
+  cluster.run_for(sec(1));
+  TxProbe replayed;
+  test::run_reads(cluster, cluster.node(0).coordinator(), keys, replayed);
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(replayed.done);
+  ASSERT_EQ(replayed.reads.size(), kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(replayed.reads[i].value, live.reads[i].value) << "row " << i + 1;
+  }
   EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 

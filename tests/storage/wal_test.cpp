@@ -1,8 +1,8 @@
 // WAL unit tests: record framing and the checksum scan (torn tails,
 // bit flips, malformed bodies), group-commit batching over SimMedium
 // (batch-size and deadline flush triggers, callback ordering, crash
-// semantics), torn-write crash resolution, checkpoint rewrite, and the
-// FileMedium mirror round-trip.
+// semantics), torn-write crash resolution, checkpoint rewrite and its
+// trigger rule, and the FileMedium mirror round-trip.
 #include "storage/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -321,6 +321,71 @@ TEST(Wal, RewriteReplacesTheLogWithACheckpoint) {
   // Appends continue after the rewrite in the new coordinates.
   const std::uint64_t end = f.append_abort(TxId{2, 1});
   EXPECT_GT(end, ckpt.size());
+}
+
+/// A checkpoint record of `versions` single-version chains.
+wire::Buffer checkpoint_of(std::size_t versions) {
+  std::vector<CheckpointVersion> snap;
+  for (std::size_t i = 0; i < versions; ++i) {
+    snap.push_back({static_cast<Key>(i), 10, VersionState::Committed,
+                    TxId{1, i + 1}, val(std::string(20, 'v'))});
+  }
+  wire::Buffer ckpt;
+  encode_checkpoint(ckpt, /*watermark=*/9, snap);
+  return ckpt;
+}
+
+TEST(Wal, RewriteIsDueOnceTheLogGrowsByItsLastRewrite) {
+  WalFixture f(/*batch=*/1, msec(2), msec(1));
+  // Never rewritten: the floor alone decides.
+  EXPECT_FALSE(f.wal->rewrite_due(1));
+  f.append_abort(TxId{1, 1});
+  EXPECT_FALSE(f.wal->rewrite_due(1));  // not idle: the flush is in flight
+  f.sched.run_until(msec(10));
+  EXPECT_TRUE(f.wal->rewrite_due(1));
+  EXPECT_FALSE(f.wal->rewrite_due(1024));
+
+  // After a rewrite far above the floor, the log must grow by the rewrite's
+  // own size before the next one is due.
+  const wire::Buffer ckpt = checkpoint_of(40);
+  ASSERT_GT(ckpt.size(), 1000u);
+  f.wal->rewrite(ckpt);
+  EXPECT_FALSE(f.wal->rewrite_due(1));
+  std::uint64_t id = 2;
+  while (f.wal->end_offset() < 2 * ckpt.size()) {
+    EXPECT_FALSE(f.wal->rewrite_due(1)) << "at " << f.wal->end_offset();
+    f.append_abort(TxId{1, id++});
+    f.sched.run_until(f.sched.now() + msec(5));
+  }
+  EXPECT_TRUE(f.wal->rewrite_due(1));
+  // A floor above the rewrite's size takes over.
+  EXPECT_FALSE(f.wal->rewrite_due(4 * ckpt.size()));
+}
+
+TEST(Wal, AdoptedAndReplayedLogsCountFromTheirLeadingCheckpoint) {
+  sim::Scheduler sched;
+  const wire::Buffer ckpt = checkpoint_of(40);
+  wire::Buffer tail;
+  encode_abort(tail, TxId{2, 1});
+
+  // A log that begins with a checkpoint: only what follows it counts.
+  auto medium = std::make_unique<SimMedium>(&sched, msec(1), TornWriteFault{});
+  wire::Buffer bytes = ckpt;
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  medium->reset_durable(bytes);
+  Wal wal(sched, std::move(medium), Wal::Options{}, Wal::Counters{});
+  EXPECT_FALSE(wal.rewrite_due(1));
+  wal.replay(nullptr);
+  EXPECT_FALSE(wal.rewrite_due(1));
+
+  // A log without one counts from zero.
+  auto plain = std::make_unique<SimMedium>(&sched, msec(1), TornWriteFault{});
+  plain->reset_durable(tail);
+  Wal wal2(sched, std::move(plain), Wal::Options{}, Wal::Counters{});
+  EXPECT_TRUE(wal2.rewrite_due(1));
+  wal2.replay(nullptr);
+  EXPECT_TRUE(wal2.rewrite_due(1));
+  EXPECT_FALSE(wal2.rewrite_due(tail.size() + 1));
 }
 
 TEST(Wal, AppendReturnsEndOffsetsComparableToDurablePrefix) {
