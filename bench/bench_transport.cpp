@@ -8,6 +8,10 @@
 //   - stream: a burst of frames 0 -> 1 with no application-level flow
 //     control; frames/sec and MB/s once the last frame lands.
 //
+// Both shapes run on one thread that pumps TcpTransport::poll_once — the
+// same shape as the cluster's real runtime — so the sender, both nodes'
+// sockets and the receiver share it.
+//
 // Numbers are wall-clock and machine-dependent — like bench_wire_codec this
 // has no committed baseline and is not gated; it exists so transport changes
 // can be measured. JSON goes to BENCH_TRANSPORT.json (schema in the spirit
@@ -17,11 +21,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,12 @@ wire::Buffer make_frame(std::size_t body) {
   return f;
 }
 
+/// Run poll rounds until `done` holds.
+template <class Pred>
+void pump(net::TcpTransport& tp, Pred done) {
+  while (!done()) tp.poll_once(Clock::now() + std::chrono::milliseconds(1));
+}
+
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
   const auto idx = static_cast<std::size_t>(
@@ -79,24 +87,17 @@ Result run(const Options& opt) {
   // -- echo round trips, one frame in flight --------------------------------
   {
     net::TcpTransport tp;
-    std::mutex mu;
-    std::condition_variable cv;
     std::uint64_t pongs = 0;
     tp.start(2, [&](NodeId to, std::vector<std::uint8_t> f) {
       if (to == 1) {
         tp.send(1, 0, std::move(f));
         return;
       }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++pongs;
-      }
-      cv.notify_one();
+      ++pongs;
     });
     auto round_trip = [&](std::uint64_t upto) {
       tp.send(0, 1, frame);
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return pongs >= upto; });
+      pump(tp, [&] { return pongs >= upto; });
     };
     for (std::uint64_t i = 1; i <= 200; ++i) round_trip(i);  // warm the path
     std::vector<double> rtt_us(opt.echo_iters);
@@ -118,24 +119,13 @@ Result run(const Options& opt) {
   // -- streaming throughput -------------------------------------------------
   {
     net::TcpTransport tp;
-    std::mutex mu;
-    std::condition_variable cv;
     std::uint64_t received = 0;
-    tp.start(2, [&](NodeId, std::vector<std::uint8_t>) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++received;
-      }
-      cv.notify_one();
-    });
+    tp.start(2, [&](NodeId, std::vector<std::uint8_t>) { ++received; });
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < opt.stream_frames; ++i) {
       tp.send(0, 1, frame);
     }
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return received >= opt.stream_frames; });
-    }
+    pump(tp, [&] { return received >= opt.stream_frames; });
     const double wall_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     tp.stop();

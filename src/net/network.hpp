@@ -128,8 +128,9 @@ class Network {
   /// Attach the real transport (net/transport/). From then on send_frame
   /// bypasses the simulated latency/fault pipeline after the pre-flight
   /// accounting and hands the frame to the transport; inbound frames come
-  /// back through deliver_frame on the realtime driver thread. The DES path
-  /// is untouched when no transport is attached.
+  /// back through deliver_frame from the transport's poll round, on the
+  /// protocol thread. The DES path is untouched when no transport is
+  /// attached.
   void set_transport(TcpTransport* transport) { transport_ = transport; }
 
   /// Inbound side of the real-transport path: route a reassembled frame to

@@ -23,34 +23,6 @@ void close_fd(int& fd) {
   fd = -1;
 }
 
-bool make_wakeup_pipe(int& read_fd, int& write_fd) {
-  int p[2];
-  if (::pipe(p) != 0) return false;
-  if (set_nonblocking(p[0]) < 0 || set_nonblocking(p[1]) < 0) {
-    ::close(p[0]);
-    ::close(p[1]);
-    return false;
-  }
-  read_fd = p[0];
-  write_fd = p[1];
-  return true;
-}
-
-void signal_wakeup(int write_fd) {
-  const char byte = 1;
-  ssize_t r;
-  do {
-    r = ::write(write_fd, &byte, 1);
-  } while (r < 0 && errno == EINTR);
-  // EAGAIN: the pipe already holds unconsumed wakeups — good enough.
-}
-
-void drain_wakeup(int read_fd) {
-  char buf[64];
-  while (::read(read_fd, buf, sizeof buf) > 0) {
-  }
-}
-
 IoResult flush_conn(Conn& c, std::uint64_t& frames, std::uint64_t& bytes) {
   while (!c.outq.empty()) {
     struct iovec iov[kMaxIov];
@@ -67,7 +39,7 @@ IoResult flush_conn(Conn& c, std::uint64_t& frames, std::uint64_t& bytes) {
     mh.msg_iov = iov;
     mh.msg_iovlen = n;
     // MSG_NOSIGNAL: a peer that reset the connection must surface as EPIPE
-    // for the loop to handle, not kill the process with SIGPIPE.
+    // for the poll round to handle, not kill the process with SIGPIPE.
     const ssize_t w = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;

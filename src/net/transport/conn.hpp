@@ -1,9 +1,7 @@
-// Per-connection plumbing for the transport loop threads
-// (docs/TRANSPORT.md): nonblocking-fd utilities, the wakeup pipe that
-// interrupts a loop's poll(2), and the Conn struct with its flush / read
-// helpers. Everything here is called from exactly one loop thread per
-// Conn — connections are loop-private; only the per-loop stats and pending
-// queues are shared, and those live in the transport.
+// Per-connection plumbing for the transport's poll round
+// (docs/TRANSPORT.md): nonblocking-fd utilities and the Conn struct with
+// its flush / read helpers. Everything here runs on the one thread that
+// drives TcpTransport::poll_once.
 //
 // This header depends on wire/assembler.hpp, a deliberate, documented
 // relaxation of the "net/ knows nothing about wire/" rule: the assembler is
@@ -35,17 +33,7 @@ int set_nonblocking(int fd);
 /// close(2) and reset to -1; safe on fd < 0.
 void close_fd(int& fd);
 
-/// Nonblocking self-pipe for waking a poll loop. False on failure.
-bool make_wakeup_pipe(int& read_fd, int& write_fd);
-
-/// Write one byte into the pipe; a full pipe means the loop is already due
-/// to wake, so EAGAIN is success.
-void signal_wakeup(int write_fd);
-
-/// Swallow every pending wakeup byte.
-void drain_wakeup(int read_fd);
-
-/// One stream connection as a loop thread sees it: the socket, the
+/// One stream connection as the poll round sees it: the socket, the
 /// incremental reassembler for the receive side, and the outbound frame
 /// queue. `head_off` tracks how much of the queue's head frame the kernel
 /// has already taken — a partially written frame stays queued until done.

@@ -10,12 +10,21 @@
 // timeout/retry machinery recovers those. A length prefix claiming more
 // than wire::kDefaultMaxFrameSize breaks only that connection. See
 // docs/TRANSPORT.md.
+//
+// The transport owns no thread. Every node's sockets are served by
+// poll_once(), one nonblocking round — flush, a single ppoll(2) over all
+// of them, accept/connect/handshake/read — run by the caller's thread (the
+// protocol thread in protocol::Cluster), which also receives every frame.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
+
+#include <poll.h>
 
 #include "common/types.hpp"
 #include "net/transport/transport.hpp"
@@ -24,10 +33,11 @@ namespace str::net {
 
 class TcpTransport {
  public:
-  /// Invoked with each fully reassembled frame addressed to node `to` — on
-  /// a transport loop thread, or on the sending thread for self-sends. Must
-  /// be thread-safe; calling send() from inside it is allowed (echo
-  /// servers, protocol replies).
+  using Clock = std::chrono::steady_clock;
+
+  /// Invoked from poll_once() with each fully reassembled frame addressed
+  /// to node `to`. May call send() (echo servers, protocol replies); must
+  /// not call poll_once(), stop() or the debug hooks.
   using RxHandler =
       std::function<void(NodeId to, std::vector<std::uint8_t> frame)>;
 
@@ -36,50 +46,69 @@ class TcpTransport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  /// Bring up `num_nodes` node loops and their connections. Throws
-  /// std::runtime_error when the OS refuses (a busy port, fd exhaustion) or
-  /// when a fixed base_port would put a node past port 65535 — callers turn
-  /// that into a usage error before any simulation time is spent. A throw
-  /// leaves no fd open. Call exactly once.
+  /// Bind one listener per node. Throws std::runtime_error when the OS
+  /// refuses (a busy port, fd exhaustion) or when a fixed base_port would
+  /// put a node past port 65535 — callers turn that into a usage error
+  /// before any simulation time is spent. A throw leaves no fd open. Call
+  /// exactly once; connections come up in the following poll_once rounds.
   void start(std::uint32_t num_nodes, RxHandler rx);
 
-  /// Queue one encoded frame from `from` to `to`. Thread-safe; never
-  /// blocks on the network (frames park in per-peer queues until the
-  /// destination connection accepts them). from == to loops back through
-  /// the RxHandler without touching a socket.
+  /// Queue one encoded frame from `from` to `to`; never touches a socket
+  /// and never calls the RxHandler. Frames park in per-peer queues until a
+  /// poll_once round hands them to the destination connection; from == to
+  /// parks in a loopback queue that the next round delivers.
   void send(NodeId from, NodeId to, std::vector<std::uint8_t> frame);
 
-  /// Stop all loops and close every socket; idempotent, called by the
-  /// destructor. After stop() no RxHandler invocation is in flight.
+  /// One round of the event loop: deliver queued self-sends, flush every
+  /// non-empty outbound queue and (re)connect due peers, then one ppoll
+  /// over every node's sockets that waits until something is ready or
+  /// `deadline` passes (µs-precise; a past deadline makes the round
+  /// nonblocking), then accept, connect, handshake and read, delivering
+  /// each reassembled frame inline. Throws std::system_error if ppoll
+  /// fails for any reason other than EINTR.
+  void poll_once(Clock::time_point deadline);
+
+  /// Close every socket, counting still-queued frames as dropped;
+  /// idempotent, called by the destructor.
   void stop();
 
-  /// Snapshot of the summed per-loop counters. Thread-safe.
-  TransportStats stats() const;
+  /// The counters so far.
+  const TransportStats& stats() const { return stats_; }
 
   /// Actual listen port of `node` (ephemeral ports resolve at start()).
   std::uint16_t port_of(NodeId node) const { return ports_.at(node); }
 
   // -- test hooks -----------------------------------------------------------
 
-  /// Forcibly close every connection `node`'s loop owns, as if the peer had
-  /// reset them; the loop re-establishes them with resend accounting.
-  /// Synchronous: returns after the loop has done the closing. Must not be
-  /// called from an RxHandler.
+  /// Close every connection `node` owns, as if the peer had reset them;
+  /// later rounds re-establish them with resend accounting.
   void debug_drop_connections(NodeId node);
 
-  /// Pause (true) or resume (false) all outbound flushing from `node`'s
-  /// loop, so tests can pin frames in the outbound queues deterministically
-  /// before dropping a connection.
+  /// Pause (true) or resume (false) all outbound flushing from `node`, so
+  /// tests can pin frames in the outbound queues before dropping a
+  /// connection.
   void debug_pause_writes(NodeId node, bool paused);
 
  private:
-  struct Loop;
-  void loop_main(Loop& loop);
+  struct Node;
+  /// What pollfd k of a round refers to.
+  struct PollRef {
+    enum class Kind : std::uint8_t { kListen, kOut, kIn };
+    Kind kind;
+    NodeId node;
+    std::size_t slot;  ///< peer for kOut, index into Node::ins for kIn
+  };
+  void deliver(NodeId to, const std::uint8_t* frame, std::size_t size);
 
   TransportOptions options_;
   RxHandler rx_;
-  std::vector<std::uint16_t> ports_;  // filled before any loop thread runs
-  std::vector<std::unique_ptr<Loop>> loops_;
+  std::vector<std::uint16_t> ports_;
+  std::vector<Node> nodes_;
+  std::deque<std::pair<NodeId, std::vector<std::uint8_t>>> loopback_;
+  std::vector<std::uint8_t> rbuf_;
+  std::vector<struct pollfd> pfds_;
+  std::vector<PollRef> refs_;
+  TransportStats stats_;
   bool started_ = false;
   bool stopped_ = false;
 };

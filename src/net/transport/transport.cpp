@@ -24,21 +24,4 @@ bool parse_transport(const std::string& name, TransportKind& out) {
   return false;
 }
 
-void TransportStats::add(const TransportStats& o) {
-  frames_sent += o.frames_sent;
-  bytes_sent += o.bytes_sent;
-  frames_received += o.frames_received;
-  bytes_received += o.bytes_received;
-  frames_resent += o.frames_resent;
-  bytes_resent += o.bytes_resent;
-  frames_dropped += o.frames_dropped;
-  connects += o.connects;
-  reconnects += o.reconnects;
-  disconnects += o.disconnects;
-  partial_frames_discarded += o.partial_frames_discarded;
-  for (std::size_t i = 0; i < resent_by_tag.size(); ++i) {
-    resent_by_tag[i] += o.resent_by_tag[i];
-  }
-}
-
 }  // namespace str::net

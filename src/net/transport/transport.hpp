@@ -2,14 +2,14 @@
 // vocabulary types shared by protocol::Cluster, str_sim and TcpTransport.
 //
 // Loopback TCP (net/transport/tcp_transport.hpp) carries the checksummed
-// wire frames of docs/WIRE.md over OS sockets on per-node event-loop
-// threads, replacing the DES's virtual-latency delivery while reusing
-// everything above it unchanged: the frame format, the decoder hardening,
-// the typed dispatch path, and the per-type traffic counters. The DES
-// remains the protocol oracle — a real-transport run exercises the same
-// cluster logic in wall-clock time (sim/realtime.hpp anchors virtual time
-// to the wall clock), it does not replace the deterministic trajectory the
-// golden hash locks down.
+// wire frames of docs/WIRE.md over OS sockets, served by one poll loop on
+// the protocol thread, replacing the DES's virtual-latency delivery while
+// reusing everything above it unchanged: the frame format, the decoder
+// hardening, the typed dispatch path, and the per-type traffic counters.
+// The DES remains the protocol oracle — a real-transport run exercises the
+// same cluster logic in wall-clock time (protocol::Cluster::run_for paces
+// virtual time to the wall clock), it does not replace the deterministic
+// trajectory the golden hash locks down.
 //
 // Delivery contract: frames between an ordered pair of nodes arrive intact
 // (checksummed, reassembled from arbitrary stream chunks) and in send order
@@ -44,8 +44,7 @@ struct TransportOptions {
   std::uint16_t base_port = 0;
 };
 
-/// Monotonic counters, one logical set per transport (internally summed
-/// over the per-node loops). All counts are frame-granular except the byte
+/// Monotonic counters, one set per transport. All counts are frame-granular except the byte
 /// totals, which track exactly what crossed (or re-crossed) the kernel
 /// boundary, handshakes excluded.
 struct TransportStats {
@@ -69,8 +68,6 @@ struct TransportStats {
   /// frames_resent partitioned by the frame's tag byte (frame[4], the wire
   /// message type) — the source of the cluster's `wire.resent.*` counters.
   std::array<std::uint64_t, 256> resent_by_tag{};
-
-  void add(const TransportStats& other);
 };
 
 }  // namespace str::net

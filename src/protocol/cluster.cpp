@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "sim/realtime.hpp"
 #include "wire/dispatch.hpp"
 
 namespace str::protocol {
@@ -131,11 +130,7 @@ Cluster::Cluster(Config config)
   }
   schedule_maintenance();
   if (real_tp) {
-    rt_driver_ = std::make_unique<sim::RealtimeDriver>(sharded_);
-    rt_driver_->set_deliver(
-        [this](NodeId to, std::vector<std::uint8_t> frame) {
-          net_.deliver_frame(to, frame.data(), frame.size());
-        });
+    wall_origin_ = std::chrono::steady_clock::now();
     c_transport_.frames_sent = &cluster_obs_.counter("transport.frames_sent");
     c_transport_.bytes_sent = &cluster_obs_.counter("transport.bytes_sent");
     c_transport_.frames_received =
@@ -160,31 +155,48 @@ Cluster::Cluster(Config config)
           std::string("wire.resent.") +
           wire::to_string(static_cast<wire::MessageType>(t)));
     }
-    // Start last: loop threads may deliver into the driver's inbox the
-    // moment they exist, and everything they touch is set up by now.
     transport_ = std::make_unique<net::TcpTransport>(config_.transport_opts);
     net_.set_transport(transport_.get());
-    transport_->start(config_.num_nodes,
-                      [d = rt_driver_.get()](NodeId to,
-                                             std::vector<std::uint8_t> f) {
-                        d->enqueue(to, std::move(f));
-                      });
+    transport_->start(
+        config_.num_nodes, [this](NodeId to, std::vector<std::uint8_t> frame) {
+          // The frame arrived while the poll round waited: bring the DES up
+          // to the arrival instant first, so dispatch sees the time it came.
+          sharded_.run_until(
+              std::max(std::min(wall_now(), rt_target_), sharded_.now()));
+          net_.deliver_frame(to, frame.data(), frame.size());
+        });
   }
 }
 
-Cluster::~Cluster() {
-  // Quiesce the loop threads before anything they touch is torn down.
-  if (transport_ != nullptr) transport_->stop();
-  Log::clear_sim_clock(&sharded_);
+Cluster::~Cluster() { Log::clear_sim_clock(&sharded_); }
+
+Timestamp Cluster::wall_now() const {
+  return static_cast<Timestamp>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - wall_origin_)
+          .count());
 }
 
 void Cluster::run_for(Timestamp duration) {
-  if (rt_driver_ != nullptr) {
-    rt_driver_->run_until(sharded_.now() + duration);
-    publish_transport_counters();
+  const Timestamp target = sharded_.now() + duration;
+  if (transport_ == nullptr) {
+    sharded_.run_until(target);
     return;
   }
-  sharded_.run_until(sharded_.now() + duration);
+  // Run the events the wall clock has reached, then serve the sockets until
+  // the next event is due (or a frame arrives): one thread, one poll loop.
+  // Events run inline may send; the next poll round flushes those frames.
+  rt_target_ = target;
+  for (;;) {
+    sharded_.run_until(
+        std::max(std::min(wall_now(), target), sharded_.now()));
+    const Timestamp wake =
+        std::min(sharded_.shard(0).next_event_time(), target);
+    transport_->poll_once(wall_origin_ + std::chrono::microseconds(wake));
+    if (wall_now() >= target) break;
+  }
+  sharded_.run_until(target);
+  publish_transport_counters();
 }
 
 void Cluster::publish_transport_counters() {

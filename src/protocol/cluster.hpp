@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -33,10 +34,6 @@
 #include "verify/history.hpp"
 #include "wire/messages.hpp"
 
-namespace str::sim {
-class RealtimeDriver;
-}
-
 namespace str::protocol {
 
 class Cluster {
@@ -62,12 +59,12 @@ class Cluster {
     /// counters, so a run is bit-identical across modes (docs/WIRE.md).
     bool wire_codec = false;
     /// Real transport mode (str_sim --transport tcp): frames travel over
-    /// loopback TCP sockets on per-node loop threads and virtual time is
-    /// paced to the wall clock (sim/realtime.hpp). Implies wire_codec and
-    /// forces recovery on (sockets can genuinely lose frames across a
-    /// connection break). Requires threads == 1 and an empty fault plan —
-    /// the DES owns determinism and fault injection; the real transport
-    /// owns realism.
+    /// loopback TCP sockets, served by the protocol thread's own poll loop,
+    /// and virtual time is paced to the wall clock (run_for). Implies
+    /// wire_codec and forces recovery on (sockets can genuinely lose frames
+    /// across a connection break). Requires threads == 1 and an empty fault
+    /// plan — the DES owns determinism and fault injection; the real
+    /// transport owns realism.
     net::TransportKind transport = net::TransportKind::kDes;
     net::TransportOptions transport_opts;
     /// Worker threads for region-sharded parallel simulation
@@ -178,8 +175,10 @@ class Cluster {
 
   /// Advance virtual time by `duration`, executing all due events. With
   /// threads>1 the calling thread doubles as worker 0 of the epoch loop.
-  /// With a real transport, virtual time is paced to the wall clock and
-  /// inbound frames are dispatched between events (sim/realtime.hpp).
+  /// With a real transport, virtual time is paced to the wall clock (1
+  /// virtual µs == 1 wall µs since construction): due events run, and in
+  /// the gaps until the next one the calling thread waits in the
+  /// transport's poll round, which dispatches arriving frames inline.
   void run_for(Timestamp duration);
 
   /// True when frames travel over a real transport (Config::transport).
@@ -345,7 +344,12 @@ class Cluster {
 
   // -- real transport (Config::transport != kDes; all null/zero otherwise) --
   std::unique_ptr<net::TcpTransport> transport_;
-  std::unique_ptr<sim::RealtimeDriver> rt_driver_;
+  /// Wall instant of virtual time 0, and the end of the run_for in
+  /// progress (frames never move the clock past it).
+  std::chrono::steady_clock::time_point wall_origin_;
+  Timestamp rt_target_ = 0;
+  /// Elapsed wall time since wall_origin_, in virtual-time units (µs).
+  Timestamp wall_now() const;
   /// Stats snapshot at the last publish (or reset_obs): the registry
   /// counters advance by the delta, so the warmup cutover discards warmup
   /// traffic from transport.* exactly as it does from every other counter.

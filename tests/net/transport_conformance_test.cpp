@@ -1,10 +1,11 @@
 // Transport conformance: the loopback TCP transport must honor the
 // delivery contract of docs/TRANSPORT.md — intact, ordered, byte-exact
 // frames per connection lifetime, accurate counters, and re-offer of queued
-// frames across a connection break — over real sockets. Lifecycle cases
-// cover start() failures (busy port, a base port past 65535, fd
-// exhaustion) and ephemeral port assignment; a short wall-clock cluster run
-// must reach a clean SPSI verdict.
+// frames across a connection break — over real sockets, driven by pumping
+// poll_once() on the test's own thread. Lifecycle cases cover start()
+// failures (busy port, a base port past 65535, fd exhaustion), a failing
+// ppoll, ephemeral port assignment, and that the real runtime starts no
+// thread; a short wall-clock cluster run must reach a clean SPSI verdict.
 #include "net/transport/tcp_transport.hpp"
 
 #include <fcntl.h>
@@ -14,16 +15,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <iterator>
 #include <map>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -96,25 +98,16 @@ std::vector<wire::Buffer> sample_frames() {
   };
 }
 
-/// Thread-safe receive log the RxHandler appends to.
+/// Receive log the RxHandler appends to.
 class RxLog {
  public:
   void push(NodeId to, std::vector<std::uint8_t> frame) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      frames_.emplace_back(to, std::move(frame));
-    }
-    cv_.notify_all();
+    frames_.emplace_back(to, std::move(frame));
   }
 
-  [[nodiscard]] bool wait_total(std::size_t n,
-                                std::chrono::milliseconds timeout = 10s) {
-    std::unique_lock<std::mutex> lk(mu_);
-    return cv_.wait_for(lk, timeout, [&] { return frames_.size() >= n; });
-  }
+  std::size_t total() const { return frames_.size(); }
 
   std::vector<wire::Buffer> at(NodeId node) const {
-    std::lock_guard<std::mutex> lk(mu_);
     std::vector<wire::Buffer> out;
     for (const auto& [to, f] : frames_) {
       if (to == node) out.push_back(f);
@@ -123,39 +116,41 @@ class RxLog {
   }
 
  private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::pair<NodeId, wire::Buffer>> frames_;
 };
 
-/// Poll a cross-thread condition with a generous deadline (the transport
-/// loops run on their own wall-clock schedule).
-bool eventually(const std::function<bool()>& pred,
-                std::chrono::milliseconds timeout = 10s) {
+/// Run poll rounds until `pred` holds; false if it still does not after a
+/// generous wall-clock deadline (loopback delivery takes microseconds).
+[[nodiscard]] bool pump(TcpTransport& tp, const std::function<bool()>& pred,
+                        std::chrono::milliseconds timeout = 10s) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(1ms);
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return false;
+    tp.poll_once(now + 1ms);
   }
   return true;
 }
 
-/// Wait until the transport's counters satisfy `pred`: delivery proves the
-/// bytes crossed, but the sending loop folds its tallies just before it
-/// blocks again, a few microseconds later. Exact-equality assertions follow
-/// the wait so mismatches still fail loudly.
-bool stats_settle(const TcpTransport& tp,
-                  const std::function<bool(const TransportStats&)>& pred) {
-  return eventually([&] { return pred(tp.stats()); });
+/// Pump until `n` frames have been received in total.
+[[nodiscard]] bool pump_until_received(TcpTransport& tp, const RxLog& log,
+                                       std::size_t n,
+                                       std::chrono::milliseconds timeout = 10s) {
+  return pump(tp, [&] { return log.total() >= n; }, timeout);
+}
+
+std::size_t dir_entries(const char* path) {
+  const std::filesystem::directory_iterator it(path);
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(it), std::filesystem::end(it)));
 }
 
 /// Descriptors this process holds open (the listing's own fd included, the
 /// same on every call).
-std::size_t open_fd_count() {
-  const std::filesystem::directory_iterator fds("/proc/self/fd");
-  return static_cast<std::size_t>(std::distance(
-      std::filesystem::begin(fds), std::filesystem::end(fds)));
-}
+std::size_t open_fd_count() { return dir_entries("/proc/self/fd"); }
+
+/// Threads this process runs.
+std::size_t thread_count() { return dir_entries("/proc/self/task"); }
 
 class TransportConformance : public ::testing::TestWithParam<TransportKind> {};
 
@@ -180,13 +175,9 @@ TEST_P(TransportConformance, EchoRoundTripAllFrameTypes) {
   });
   const std::vector<wire::Buffer> frames = sample_frames();
   for (const wire::Buffer& f : frames) tp.send(0, 1, f);
-  ASSERT_TRUE(log.wait_total(frames.size()));
+  ASSERT_TRUE(pump_until_received(tp, log, frames.size()));
   // Byte-exact and in send order after a full round trip per type.
   EXPECT_EQ(log.at(0), frames);
-  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
-    return s.frames_sent >= 2 * frames.size() &&
-           s.frames_received >= 2 * frames.size();
-  }));
   const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 2 * frames.size());
   EXPECT_EQ(s.frames_received, 2 * frames.size());
@@ -216,11 +207,8 @@ TEST_P(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
     bytes += f.size();
     tp.send(0, 1, f);
   }
-  ASSERT_TRUE(log.wait_total(sent.size(), 30s));
+  ASSERT_TRUE(pump_until_received(tp, log, sent.size(), 30s));
   EXPECT_EQ(log.at(1), sent);
-  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
-    return s.bytes_sent >= bytes && s.bytes_received >= bytes;
-  }));
   const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_received, sent.size());
   EXPECT_EQ(s.bytes_received, bytes);
@@ -236,14 +224,34 @@ TEST_P(TransportConformance, SelfSendLoopsBackWithoutASocket) {
   });
   const wire::Buffer f = raw_frame(7, 21);
   tp.send(0, 0, f);
-  ASSERT_TRUE(log.wait_total(1));
+  ASSERT_TRUE(pump_until_received(tp, log, 1));
   EXPECT_EQ(log.at(0), std::vector<wire::Buffer>{f});
-  EXPECT_TRUE(stats_settle(tp, [](const TransportStats& s) {
-    return s.frames_sent >= 1 && s.frames_received >= 1;
-  }));
   const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 1u);
   EXPECT_EQ(s.frames_received, 1u);
+  tp.stop();
+}
+
+TEST_P(TransportConformance, SelfSendIsDeliveredByTheNextPollRound) {
+  // send() only queues — also from a node to itself — so protocol code is
+  // never re-entered from inside a send: the handler runs in the next
+  // poll_once, and a self-send it makes waits for the round after that.
+  TcpTransport tp;
+  RxLog log;
+  const wire::Buffer first = raw_frame(7, 21);
+  const wire::Buffer second = raw_frame(8, 5);
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+    log.push(to, std::move(frame));
+    if (log.total() == 1) tp.send(1, 1, second);
+  });
+  tp.send(1, 1, first);
+  EXPECT_EQ(log.total(), 0u) << "RxHandler ran inside send()";
+  const auto now = std::chrono::steady_clock::now;
+  tp.poll_once(now());
+  EXPECT_EQ(log.at(1), std::vector<wire::Buffer>{first});
+  tp.poll_once(now());
+  EXPECT_EQ(log.at(1), (std::vector<wire::Buffer>{first, second}));
+  EXPECT_EQ(tp.stats().frames_received, 2u);
   tp.stop();
 }
 
@@ -252,18 +260,12 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
   // receiver must sum exactly to the transport's frame counters — the
   // socket-level ground truth behind the cluster's wire.msgs.* accounting.
   TcpTransport tp;
-  std::mutex mu;
   std::map<std::uint8_t, std::size_t> by_tag;
   std::size_t total_rx = 0;
-  std::condition_variable cv;
   tp.start(2, [&](NodeId, std::vector<std::uint8_t> frame) {
     ASSERT_GT(frame.size(), wire::kFrameLenBytes);
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      ++by_tag[frame[wire::kFrameLenBytes]];
-      ++total_rx;
-    }
-    cv.notify_all();
+    ++by_tag[frame[wire::kFrameLenBytes]];
+    ++total_rx;
   });
   const std::vector<wire::Buffer> frames = sample_frames();
   std::size_t total = 0;
@@ -273,17 +275,11 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
       ++total;
     }
   }
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    ASSERT_TRUE(cv.wait_for(lk, 10s, [&] { return total_rx >= total; }));
-    for (std::size_t t = 0; t < frames.size(); ++t) {
-      EXPECT_EQ(by_tag[frames[t][wire::kFrameLenBytes]], t + 1)
-          << "type index " << t;
-    }
+  ASSERT_TRUE(pump(tp, [&] { return total_rx >= total; }));
+  for (std::size_t t = 0; t < frames.size(); ++t) {
+    EXPECT_EQ(by_tag[frames[t][wire::kFrameLenBytes]], t + 1)
+        << "type index " << t;
   }
-  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
-    return s.frames_sent >= total && s.frames_received >= total;
-  }));
   const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, total);
   EXPECT_EQ(s.frames_received, total);
@@ -299,10 +295,10 @@ TEST_P(TransportConformance, DropConnectionsFollowsBackendLossSemantics) {
   });
   // Prove the 0→1 connection is established before staging the break.
   tp.send(0, 1, raw_frame(1, 8));
-  ASSERT_TRUE(log.wait_total(1));
+  ASSERT_TRUE(pump_until_received(tp, log, 1));
 
   // Pin frames in node 0's outbound queue, then cut every connection it
-  // owns. debug_drop_connections is synchronous, so the loss accounting is
+  // owns. debug_drop_connections is a plain call, so the loss accounting is
   // fully visible when it returns.
   tp.debug_pause_writes(0, true);
   constexpr std::size_t kQueued = 5;
@@ -316,9 +312,10 @@ TEST_P(TransportConformance, DropConnectionsFollowsBackendLossSemantics) {
   EXPECT_EQ(s.resent_by_tag[2], kQueued);
   EXPECT_EQ(s.frames_dropped, 0u);
   tp.debug_pause_writes(0, false);
-  ASSERT_TRUE(log.wait_total(1 + kQueued));
+  ASSERT_TRUE(pump_until_received(tp, log, 1 + kQueued));
   EXPECT_EQ(log.at(1).size(), 1 + kQueued);
-  EXPECT_TRUE(eventually([&] { return tp.stats().reconnects >= 1; }));
+  // The re-offered frames can only have arrived over a replacement.
+  EXPECT_GE(tp.stats().reconnects, 1u);
   tp.stop();
 }
 
@@ -329,12 +326,15 @@ TEST_P(TransportConformance, StopDiscardsQueuedFramesAsDropped) {
     log.push(to, std::move(frame));
   });
   tp.send(0, 1, raw_frame(1, 8));
-  ASSERT_TRUE(log.wait_total(1));
+  ASSERT_TRUE(pump_until_received(tp, log, 1));
   tp.debug_pause_writes(0, true);
   for (int i = 0; i < 3; ++i) tp.send(0, 1, raw_frame(2, 16));
+  tp.poll_once(std::chrono::steady_clock::now());
+  tp.send(1, 1, raw_frame(3, 4));
   tp.stop();
-  // Unsent frames must be accounted, not silently lost.
-  EXPECT_GE(tp.stats().frames_dropped, 3u);
+  // Unsent frames must be accounted, not silently lost: the three paused
+  // ones and the self-send no round delivered.
+  EXPECT_EQ(tp.stats().frames_dropped, 4u);
 }
 
 TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
@@ -348,7 +348,7 @@ TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
     log.push(to, std::move(frame));
   });
   tp.send(0, 1, raw_frame(1, 8));
-  ASSERT_TRUE(log.wait_total(1));
+  ASSERT_TRUE(pump_until_received(tp, log, 1));
   // A short frame whose length prefix claims one byte past the ceiling.
   wire::Buffer oversized = raw_frame(2, 8);
   const auto claimed = static_cast<std::uint32_t>(wire::kDefaultMaxFrameSize -
@@ -357,9 +357,12 @@ TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
     oversized[i] = static_cast<std::uint8_t>((claimed >> (8 * i)) & 0xff);
   }
   tp.send(0, 1, oversized);
-  EXPECT_TRUE(eventually([&] { return tp.stats().disconnects >= 1; }));
+  // Both ends see the cut: the receiver drops the connection, then the
+  // sender reads the EOF. Only then is a new frame sure to ride the
+  // replacement rather than the dead socket.
+  EXPECT_TRUE(pump(tp, [&] { return tp.stats().disconnects >= 2; }));
   tp.send(0, 1, raw_frame(3, 8));
-  ASSERT_TRUE(log.wait_total(2));
+  ASSERT_TRUE(pump_until_received(tp, log, 2));
   ASSERT_EQ(log.at(1).size(), 2u);
   EXPECT_EQ(log.at(1)[1][wire::kFrameLenBytes], 3);
   tp.stop();
@@ -367,7 +370,7 @@ TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
 
 TEST(TcpTransportLifecycle, StartThrowsOnBusyPort) {
   // Occupy a port, then ask the transport to bind it: start() must surface
-  // the failure as an exception before any loop thread exists.
+  // the failure as an exception.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -404,16 +407,15 @@ TEST(TcpTransportLifecycle, StartThrowsWhenBasePortWouldWrap) {
 }
 
 TEST(TcpTransportLifecycle, FailedStartClosesEveryFd) {
-  // Leave exactly five free descriptor numbers under RLIMIT_NOFILE: the
-  // three listeners and node 0's wakeup pipe fit, node 1's pipe fails with
-  // EMFILE. The throw must close every fd start() opened, including the
-  // listener already handed to node 0's loop.
-  int probe[5];
+  // Leave exactly two free descriptor numbers under RLIMIT_NOFILE: the
+  // listeners of nodes 0 and 1 fit, node 2's socket() fails with EMFILE.
+  // The throw must close every fd start() opened before it.
+  int probe[2];
   for (int& fd : probe) {
     fd = ::open("/dev/null", O_RDONLY);
     ASSERT_GE(fd, 0);
   }
-  const int highest_free = probe[4];  // open() takes the lowest free number
+  const int highest_free = probe[1];  // open() takes the lowest free number
   for (int fd : probe) ::close(fd);
 
   rlimit saved{};
@@ -422,18 +424,51 @@ TEST(TcpTransportLifecycle, FailedStartClosesEveryFd) {
   rlimit tight = saved;
   tight.rlim_cur = static_cast<rlim_t>(highest_free) + 1;
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
-  bool threw = false;
+  std::string error;
   {
     TcpTransport tp;
     try {
       tp.start(3, [](NodeId, std::vector<std::uint8_t>) {});
-    } catch (const std::runtime_error&) {
-      threw = true;
+    } catch (const std::runtime_error& e) {
+      error = e.what();
     }
   }
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
-  EXPECT_TRUE(threw);
+  // The third listener's socket() failed, after two listeners were opened.
+  EXPECT_NE(error.find("socket"), std::string::npos) << error;
   EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST(TcpTransportLifecycle, PollFailureThrowsSystemError) {
+  // A ppoll failure must stop the run loudly, not leave the nodes deaf: with
+  // more pollfds than RLIMIT_NOFILE allows, ppoll fails with EINVAL.
+  // Two low descriptor numbers are held now and freed under the tight
+  // limit, so sanitizer runtimes can still open the pipe they probe
+  // memory with.
+  int spare[2];
+  for (int& fd : spare) {
+    fd = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(fd, 0);
+  }
+  TcpTransport tp;
+  tp.start(3, [](NodeId, std::vector<std::uint8_t>) {});
+  // 3 listeners + 6 outbound + 6 inbound connections once all are up.
+  ASSERT_TRUE(pump(tp, [&] { return tp.stats().connects == 6; }));
+  for (int fd : spare) ::close(fd);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(std::max(spare[0], spare[1])) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  int code = 0;
+  try {
+    tp.poll_once(std::chrono::steady_clock::now());
+  } catch (const std::system_error& e) {
+    code = e.code().value();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(code, EINVAL);
+  tp.stop();
 }
 
 TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
@@ -449,6 +484,44 @@ TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
   EXPECT_NE(p1, p2);
   EXPECT_NE(p0, p2);
   tp.stop();
+}
+
+TEST(TcpTransportLifecycle, RealRuntimeStartsNoThreads) {
+  // One thread, one poll loop: neither the transport nor a cluster running
+  // over it may start a thread of its own.
+  const std::size_t before = thread_count();
+  {
+    TcpTransport tp;
+    RxLog log;
+    tp.start(3, [&](NodeId to, std::vector<std::uint8_t> frame) {
+      log.push(to, std::move(frame));
+    });
+    tp.send(0, 1, raw_frame(1, 8));
+    tp.send(2, 0, raw_frame(2, 8));
+    ASSERT_TRUE(pump_until_received(tp, log, 2));
+    EXPECT_EQ(thread_count(), before);
+  }
+
+  harness::ExperimentConfig cfg;
+  cfg.cluster = test::small_config(3, 2, protocol::ProtocolConfig::str(),
+                                   msec(50), /*seed=*/7);
+  cfg.cluster.transport = TransportKind::kTcp;
+  cfg.clients_per_node = 3;
+  cfg.warmup = msec(100);
+  cfg.duration = msec(300);
+  cfg.drain = msec(200);
+  workload::SyntheticConfig wcfg = workload::SyntheticConfig::synth_a();
+  wcfg.keys_per_txn = 4;
+  std::size_t during = 0;
+  const auto r = harness::run_experiment(cfg, [&](protocol::Cluster& c) {
+    // Sampled by a DES event inside the measurement window, while frames
+    // are crossing the sockets.
+    c.scheduler().schedule_after(msec(250),
+                                 [&during] { during = thread_count(); });
+    return std::make_unique<workload::SyntheticWorkload>(c, wcfg);
+  });
+  EXPECT_GT(r.commits, 0u);
+  EXPECT_EQ(during, before);
 }
 
 TEST_P(TransportConformance, ClusterReachesCleanSpsiOverRealSockets) {

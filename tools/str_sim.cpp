@@ -95,10 +95,10 @@ void usage() {
       "                 closure transport\n"
       "  --transport T  des | tcp (docs/TRANSPORT.md). des (the default) is\n"
       "                 the deterministic simulator; tcp runs the same\n"
-      "                 cluster logic over loopback TCP sockets on per-node\n"
-      "                 loop threads, pacing virtual time to the wall clock\n"
-      "                 (implies --wire; requires --threads 1 and no fault\n"
-      "                 directives)                                 [des]\n"
+      "                 cluster logic over loopback TCP sockets, served by\n"
+      "                 one poll loop on the protocol thread, pacing virtual\n"
+      "                 time to the wall clock (implies --wire; requires\n"
+      "                 --threads 1 and no fault directives)        [des]\n"
       "  --transport-port N  tcp only: node i listens on 127.0.0.1:(N+i)\n"
       "                 instead of ephemeral ports; N+nodes-1 <= 65535\n"
       "  --csv PATH     append per-run metrics to a CSV file\n"
@@ -460,8 +460,8 @@ int main(int argc, char** argv) {
     std::remove(probe.c_str());
   }
   // Validate --transport combinations up front, like --wal-dir: a real
-  // transport spins up threads and sockets, so misconfigurations must die
-  // as usage errors before any of that exists.
+  // transport binds sockets, so misconfigurations must die as usage errors
+  // before any of that exists.
   net::TransportKind tkind = net::TransportKind::kDes;
   if (!net::parse_transport(opt.transport, tkind)) {
     std::fprintf(stderr, "--transport wants des | tcp, got %s\n",
@@ -471,9 +471,9 @@ int main(int argc, char** argv) {
   if (tkind != net::TransportKind::kDes) {
     if (opt.threads > 1) {
       std::fprintf(stderr,
-                   "--transport %s requires --threads 1 (the realtime driver "
-                   "runs the protocol single-threaded; the loop threads are "
-                   "the transport's own)\n",
+                   "--transport %s requires --threads 1 (the protocol "
+                   "thread drives the sockets itself; the region-sharded "
+                   "scheduler's workers cannot share that loop)\n",
                    opt.transport.c_str());
       return 1;
     }
