@@ -1,15 +1,20 @@
-// Wire-codec microbenchmark: encode/decode cost per message type.
+// Wire-codec microbenchmark: encode/decode cost per message type, and the
+// frame checksum on its own.
 //
 // Builds one representative message of every type (payload sizes chosen to
 // match the synthetic workload's value sizes), then times tight
 // encode-frame and decode-frame loops. This is the per-message overhead a
 // --wire run pays on top of the closure transport; bench_core_speed --wire
-// reports the same cost end-to-end. Numbers are wall-clock and
-// machine-dependent — this bench has no committed baseline and is not
-// gated, it exists so codec changes can be measured (docs/PERFORMANCE.md).
+// reports the same cost end-to-end. The checksum rows time CRC32C
+// (wire::checksum32) through the hardware and the portable path at 64 B,
+// 190 B (tpcc-durable's mean frame) and 4 KB per call, and at 1 MB as
+// GB/s. Numbers are wall-clock and machine-dependent — this bench has no
+// committed baseline and is not gated, it exists so codec changes can be
+// measured (docs/PERFORMANCE.md).
 //
 // Usage: bench_wire_codec [--quick] [--iters N]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -81,6 +86,54 @@ void report(const char* name, const M& msg, std::uint64_t iters) {
               name, t.frame_bytes, t.encode_ns, t.decode_ns, mbps);
 }
 
+using ChecksumFn = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+
+/// Mean ns per call of `crc` over `size` bytes. Each call's result feeds
+/// the next call's first byte, so no call can be hoisted or skipped.
+double time_checksum(ChecksumFn crc, std::size_t size, std::uint64_t iters) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<std::uint8_t> data(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  std::uint32_t sink = 0;
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    data[0] = static_cast<std::uint8_t>(sink);
+    sink ^= crc(data.data(), size);
+  }
+  const auto end = Clock::now();
+  if (sink == 0xdeadbeef) std::puts("");  // keep `sink` observable
+  return std::chrono::duration<double, std::nano>(end - start).count() /
+         static_cast<double>(iters);
+}
+
+void report_checksums(std::uint64_t iters) {
+  struct Path {
+    const char* name;
+    ChecksumFn fn;
+  };
+  std::vector<Path> paths;
+  if (wire::checksum32_hardware_available()) {
+    paths.push_back({"hardware", &wire::checksum32_hardware});
+  } else {
+    std::printf("  (no CRC32C instruction on this CPU: portable path only)\n");
+  }
+  paths.push_back({"portable", &wire::checksum32_portable});
+  constexpr std::size_t kMiB = 1 << 20;
+  for (const Path& p : paths) {
+    std::printf("  %-9s", p.name);
+    for (const std::size_t size : {std::size_t{64}, std::size_t{190},
+                                   std::size_t{4096}}) {
+      std::printf("   %4zu B %8.1f ns", size,
+                  time_checksum(p.fn, size, iters));
+    }
+    const double mib_ns =
+        time_checksum(p.fn, kMiB, std::max<std::uint64_t>(iters / 2000, 20));
+    std::printf("   1 MB %6.2f GB/s\n", static_cast<double>(kMiB) / mib_ns);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,5 +184,8 @@ int main(int argc, char** argv) {
   report("abort", abort_msg, iters);
   report("decision_request", dec_req, iters);
   report("decision_reply", dec_reply, iters);
+
+  std::printf("=== checksum32 (CRC32C) per call ===\n");
+  report_checksums(iters);
   return 0;
 }

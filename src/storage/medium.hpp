@@ -57,7 +57,8 @@ class Medium {
   virtual void sync(UniqueFunction<void()> done) = 0;
 
   /// The durable contents (what a restart reads back). May end in a torn
-  /// tail after a crash — replay checksum-scans and truncates.
+  /// tail after a crash — replay checksum-scans (CRC32C, which catches the
+  /// torn write's single flipped bit without fail) and truncates.
   virtual const wire::Buffer& durable() const = 0;
 
   /// Atomically replace the durable contents (checkpoint truncation,

@@ -19,9 +19,18 @@ void fields(auto& f, wire::Of<CheckpointVersion> auto& v) {
 namespace {
 
 /// Seal one record in place: `type`, then `fs` in log order, each in its
-/// wire field encoding.
+/// wire field encoding. A record sealed into an empty buffer is sized first
+/// (Encoder<SizeCounter>, as wire::frame_size does), so it takes exactly one
+/// allocation of exactly its size. A buffer that already holds records
+/// grows as a vector does, so appending many records stays linear.
 template <class... Fields>
 void seal(wire::Buffer& out, WalRecordType type, const Fields&... fs) {
+  if (out.empty()) {
+    wire::SizeCounter n;
+    wire::Encoder<wire::SizeCounter> sizer(n);
+    (sizer(fs), ...);
+    out.reserve(wire::kFrameOverhead + n.size());
+  }
   wire::append_frame(out, static_cast<std::uint8_t>(type),
                      [&](wire::Writer& w) {
                        wire::Encoder<wire::Writer> e(w);

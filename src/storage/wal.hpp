@@ -4,11 +4,12 @@
 // wire::append_frame and opened by the same wire::open_frame as protocol
 // messages, with bodies in the wire's field codecs:
 //
-//   [u32le rest_len][u8 record type][body][u32le FNV-1a32(type + body)]
+//   [u32le rest_len][u8 record type][body][u32le CRC32C(type + body)]
 //
 // so the log is self-delimiting on a byte stream and a torn or bit-flipped
 // tail is detected by the checksum scan, not trusted from the length
-// prefix. Five record types:
+// prefix (so a log from a build with another checksum replays as empty;
+// docs/DURABILITY.md). Five record types:
 //
 //   kPrepare    — a remote-coordinated transaction's pre-commit on this
 //                 partition (tx, rs, proposed ts, full update list). Forced

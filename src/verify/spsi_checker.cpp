@@ -216,23 +216,33 @@ std::vector<std::string> SpsiChecker::check_snapshot_conflicts() {
   // reads-from edges: X -> Y when X observed one of Y's versions. A path
   // Y ~> X means Y is (transitively) part of X's snapshot, i.e. Y
   // serialized before X — such pairs are chains, not conflicts.
-  std::unordered_map<TxId, std::set<TxId>, TxIdHash> reads_from;
+  // Each reader's node carries the number of the last query that visited
+  // it, so one mark serves every query: nothing is cleared or allocated
+  // between them. Writers that read nothing have no node and no edges.
+  struct ReadsFrom {
+    std::set<TxId> writers;
+    std::uint64_t visited = 0;
+  };
+  std::unordered_map<TxId, ReadsFrom, TxIdHash> reads_from;
   for (const ReadEvent& r : h_.reads()) {
     if (r.writer.valid() && r.writer != r.reader) {
-      reads_from[r.reader].insert(r.writer);
+      reads_from[r.reader].writers.insert(r.writer);
     }
   }
-  auto reaches = [&reads_from](const TxId& from, const TxId& to) {
+  std::uint64_t query = 0;
+  std::vector<TxId> stack;
+  auto reaches = [&reads_from, &query, &stack](const TxId& from,
+                                               const TxId& to) {
     // DFS along reads-from edges: does `from` transitively read from `to`?
-    std::vector<TxId> stack{from};
-    std::set<TxId> visited;
+    ++query;
+    stack.assign(1, from);
     while (!stack.empty()) {
       const TxId cur = stack.back();
       stack.pop_back();
-      if (!visited.insert(cur).second) continue;
       auto it = reads_from.find(cur);
-      if (it == reads_from.end()) continue;
-      for (const TxId& next : it->second) {
+      if (it == reads_from.end() || it->second.visited == query) continue;
+      it->second.visited = query;
+      for (const TxId& next : it->second.writers) {
         if (next == to) return true;
         stack.push_back(next);
       }

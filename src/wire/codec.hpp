@@ -19,7 +19,7 @@
 // Frame layout (all multi-byte fields little-endian):
 //
 //   +----------------+------+----------------+-------------------+
-//   | u32 rest_len   | type | body ...       | u32 FNV-1a(type + |
+//   | u32 rest_len   | type | body ...       | u32 CRC32C(type + |
 //   | (type..cksum)  | (u8) | (per-type)     |      body)        |
 //   +----------------+------+----------------+-------------------+
 //
@@ -72,17 +72,20 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// FNV-1a over a byte range, folded to 32 bits. Cheap, deterministic, and
-/// sensitive to single-bit flips — exactly what a per-frame integrity check
-/// needs in a deterministic simulator (a real backend would use CRC32C).
-inline std::uint32_t checksum32(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
+/// CRC32C (Castagnoli, as in iSCSI, RFC 3720; "123456789" -> 0xE3069283)
+/// of a byte range: the per-frame checksum. It detects every single-byte
+/// change, and every burst of up to 32 bits, in a frame. The CPU's crc32
+/// instruction computes it where the CPU has one (SSE4.2 on x86-64, probed
+/// once at first use); a portable table walk computes it everywhere else.
+/// Both give the same value, so the choice never shows in any byte.
+std::uint32_t checksum32(const std::uint8_t* data, std::size_t size);
+
+/// The two implementations behind checksum32, for tests and benchmarks.
+/// checksum32_hardware may be called only when
+/// checksum32_hardware_available() (off x86-64 it is the portable one).
+std::uint32_t checksum32_portable(const std::uint8_t* data, std::size_t size);
+std::uint32_t checksum32_hardware(const std::uint8_t* data, std::size_t size);
+bool checksum32_hardware_available();
 
 /// The one little-endian u32 load (frame length and checksum fields).
 inline std::uint32_t load_u32le(const std::uint8_t* p) {

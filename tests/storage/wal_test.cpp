@@ -49,24 +49,27 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
   snap.push_back({8, 60, VersionState::PreCommitted, TxId{4, 2}, nullptr});
   encode_checkpoint(log, /*watermark=*/45, snap);
 
-  // On-disk layout pin: logs written by older builds must stay readable, so
-  // any change to these bytes is a format break, not a refactor.
+  // On-disk layout pin: any change to these bytes is a format break, not a
+  // refactor, and must be called out in docs/DURABILITY.md. The last one
+  // was the checksum's move from FNV-1a to CRC32C: it changed only the
+  // trailing 4 checksum bytes of each record, and older logs now replay as
+  // torn at their first record.
   const wire::Buffer pinned = {
       // kPrepare
       0x13, 0x00, 0x00, 0x00, 0x01, 0x02, 0x0b, 0x64, 0x78, 0x02, 0x07, 0x01,
-      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0xe2, 0x7c, 0x96, 0xa4,
+      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0xa7, 0x8d, 0x30, 0xbd,
       // kCommit
       0x13, 0x00, 0x00, 0x00, 0x02, 0x02, 0x0b, 0x82, 0x01, 0x02, 0x07, 0x01,
-      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0x9a, 0xd1, 0xf1, 0xac,
+      0x01, 0x61, 0x09, 0x01, 0x02, 0x62, 0x62, 0x15, 0xb4, 0x6d, 0x83,
       // kAbort
-      0x07, 0x00, 0x00, 0x00, 0x03, 0x03, 0x05, 0x4a, 0x7a, 0x07, 0x91,
+      0x07, 0x00, 0x00, 0x00, 0x03, 0x03, 0x05, 0x8c, 0xdf, 0x5c, 0x8b,
       // kDecision
-      0x0b, 0x00, 0x00, 0x00, 0x04, 0x02, 0x0b, 0x82, 0x01, 0x8c, 0x01, 0x73,
-      0xb2, 0x9f, 0xfc,
+      0x0b, 0x00, 0x00, 0x00, 0x04, 0x02, 0x0b, 0x82, 0x01, 0x8c, 0x01, 0x44,
+      0x17, 0xb6, 0xda,
       // kCheckpoint
       0x15, 0x00, 0x00, 0x00, 0x05, 0x2d, 0x02, 0x07, 0x32, 0x02, 0x01, 0x01,
-      0x01, 0x01, 0x78, 0x08, 0x3c, 0x00, 0x04, 0x02, 0x00, 0xa9, 0xc8, 0xb5,
-      0xfe};
+      0x01, 0x01, 0x78, 0x08, 0x3c, 0x00, 0x04, 0x02, 0x00, 0x4e, 0x37, 0xc6,
+      0x12};
   EXPECT_EQ(log, pinned);
 
   WalScanResult result;
@@ -100,6 +103,45 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(*records[4].snapshot[0].value, "x");
   EXPECT_EQ(records[4].snapshot[1].state, VersionState::PreCommitted);
   EXPECT_EQ(records[4].snapshot[1].value, nullptr);
+}
+
+TEST(WalCodec, RecordsSealIntoExactlySizedBuffers) {
+  const WalUpdates updates = {{7, val(std::string(300, 'a'))},
+                              {1u << 20, nullptr},
+                              {9, val(std::string(40, 'b'))}};
+  std::vector<CheckpointVersion> snap;
+  for (Key k = 0; k < 50; ++k) {
+    snap.push_back({k, 1000 + k, VersionState::Committed, TxId{1, k},
+                    val(std::string(k, 'c'))});
+  }
+  const auto check = [](const char* what, const wire::Buffer& b) {
+    EXPECT_GT(b.size(), wire::kMinFrameSize) << what;
+    EXPECT_EQ(b.capacity(), b.size()) << what;
+  };
+  wire::Buffer prepare;
+  encode_prepare(prepare, TxId{2, 11}, 100, 120, updates);
+  check("prepare", prepare);
+  wire::Buffer commit;
+  encode_commit(commit, TxId{2, 11}, 130, updates);
+  check("commit", commit);
+  wire::Buffer decision;
+  encode_decision(decision, TxId{2, 11}, 130, 1u << 30);
+  check("decision", decision);
+  wire::Buffer checkpoint;
+  encode_checkpoint(checkpoint, 45, snap);
+  check("checkpoint", checkpoint);
+}
+
+TEST(WalCodec, AppendingManyRecordsGrowsTheBufferGeometrically) {
+  wire::Buffer log;
+  int reallocations = 0;
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const std::size_t before = log.capacity();
+    encode_decision(log, TxId{1, i}, 10 * i, 10 * i + 1);
+    if (log.capacity() != before) ++reallocations;
+  }
+  EXPECT_EQ(scan_all(log).size(), 4096u);
+  EXPECT_LE(reallocations, 20);  // ~log2(4096 records), not one per record
 }
 
 TEST(WalCodec, ScanRecoversExactlyTheCompleteFramePrefix) {

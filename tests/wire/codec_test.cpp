@@ -1,12 +1,17 @@
-// Wire-codec primitives: varint/zigzag mappings, checksum sensitivity, and
-// the bounds-latched Reader that must never read past untrusted input.
+// Wire-codec primitives: varint/zigzag mappings, the CRC32C checksum (known
+// answers, hardware against portable, every single-byte change of a frame),
+// and the bounds-latched Reader that must never read past untrusted input.
 #include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
+
+#include "wire/messages.hpp"
 
 namespace str::wire {
 namespace {
@@ -113,6 +118,75 @@ TEST(Codec, ChecksumIsSensitiveToEverySingleBitFlip) {
   }
   EXPECT_EQ(checksum32(data, sizeof data), base);  // restored
   EXPECT_NE(checksum32(data, sizeof data - 1), base);  // length matters
+}
+
+TEST(Codec, ChecksumIsCrc32c) {
+  // RFC 3720 §B.4 known answers, and the conventional check value.
+  std::uint8_t zeros[32] = {};
+  std::uint8_t ones[32];
+  std::uint8_t ascending[32];
+  for (std::size_t i = 0; i < 32; ++i) {
+    ones[i] = 0xff;
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::string check = "123456789";
+  const auto* digits = reinterpret_cast<const std::uint8_t*>(check.data());
+  for (auto* crc : {&checksum32, &checksum32_portable}) {
+    EXPECT_EQ(crc(zeros, sizeof zeros), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, sizeof ones), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, sizeof ascending), 0x46DD794Eu);
+    EXPECT_EQ(crc(digits, check.size()), 0xE3069283u);
+    EXPECT_EQ(crc(zeros, 0), 0u);
+  }
+}
+
+TEST(Codec, HardwareChecksumMatchesPortableAtEveryLengthAndOffset) {
+  if (!checksum32_hardware_available()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  std::vector<std::uint8_t> data(1024 + 8);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3) * 7 + 5);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(checksum32_hardware(p, len), checksum32_portable(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Codec, EverySingleByteChangeOfAFrameIsRejected) {
+  // A replicate request the size of tpcc-durable's mean frame. CRC32C
+  // detects every error burst of up to 32 bits, so any one changed byte
+  // covered by the checksum (or in the checksum itself) fails it; a changed
+  // length prefix fails the length check first.
+  auto updates = std::make_shared<protocol::UpdateList>();
+  for (Key k = 0; k < 4; ++k) {
+    updates->emplace_back(0x4000 + 977 * k,
+                          std::make_shared<const Value>(std::string(38, 'v')));
+  }
+  const protocol::ReplicateRequest repl{TxId{3, 0x1234}, 3, 2, 7'100'000,
+                                        updates};
+  Buffer frame = encode_frame(repl);
+  ASSERT_GE(frame.size(), 180u);
+  ASSERT_LE(frame.size(), 200u);
+  FrameView view;
+  ASSERT_EQ(open_frame(frame.data(), frame.size(), view), DecodeStatus::kOk);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    const std::uint8_t original = frame[i];
+    const DecodeStatus expected = i < kFrameLenBytes
+                                      ? DecodeStatus::kBadLength
+                                      : DecodeStatus::kBadChecksum;
+    for (int delta = 1; delta < 256; ++delta) {
+      frame[i] = static_cast<std::uint8_t>(original ^ delta);
+      ASSERT_EQ(open_frame(frame.data(), frame.size(), view), expected)
+          << "byte " << i << " xor " << delta;
+    }
+    frame[i] = original;
+  }
+  EXPECT_EQ(open_frame(frame.data(), frame.size(), view), DecodeStatus::kOk);
 }
 
 TEST(Codec, ReaderLatchesFailureAndStopsAtTheEnd) {
