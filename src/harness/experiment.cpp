@@ -174,6 +174,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (const obs::Counter* c = merged.find_counter("recovery.lost_commits")) {
     r.lost_commits = c->value();
   }
+  if (const obs::Counter* c = merged.find_counter("recovery.split_outcomes")) {
+    r.split_outcomes = c->value();
+  }
   if (const obs::Counter* c = merged.find_counter("transport.reconnects")) {
     r.transport_reconnects = c->value();
   }

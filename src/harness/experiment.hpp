@@ -108,6 +108,9 @@ struct ExperimentResult {
   /// Client-acked commits that recovery later aborted (quorum mode; any
   /// nonzero value is a durability contract violation).
   std::uint64_t lost_commits = 0;
+  /// Transactions recovery settled both ways (quorum mode; any nonzero
+  /// value means two replicas hold different outcomes).
+  std::uint64_t split_outcomes = 0;
   /// Transport-level retransmits (sum of "wire.resent.*") and connection
   /// re-establishments — zero except in real-transport runs, where they
   /// distinguish socket-layer recovery from protocol-level rpc_retries.

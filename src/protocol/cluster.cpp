@@ -78,6 +78,7 @@ Cluster::Cluster(Config config)
     c_indoubt_commits_ = &cluster_obs_.counter("txn.commits");
     c_indoubt_aborts_ = &cluster_obs_.counter("txn.aborts");
     c_lost_commits_ = &cluster_obs_.counter("recovery.lost_commits");
+    c_split_outcomes_ = &cluster_obs_.counter("recovery.split_outcomes");
   }
   if (config_.wire_codec) {
     net_.set_frame_handler(
@@ -346,19 +347,34 @@ void Cluster::register_in_doubt(const TxId& tx, InDoubtInfo info) {
   in_doubt_.emplace(tx, std::move(info));
 }
 
-bool Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
+void Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
   InDoubtInfo info;
   {
     std::lock_guard<std::mutex> lk(in_doubt_mu_);
+    if (c_split_outcomes_ != nullptr) {
+      if (!committed && acked_commits_.count(tx) != 0) {
+        STR_ERROR("lost commit: recovery aborted client-acked txn n%u#%llu",
+                  static_cast<unsigned>(tx.node),
+                  static_cast<unsigned long long>(tx.seq));
+        c_lost_commits_->inc();
+      }
+      const auto [s, first] = settled_.try_emplace(tx, committed);
+      if (!first && s->second != committed) {
+        STR_ERROR("split outcome: txn n%u#%llu settled both ways",
+                  static_cast<unsigned>(tx.node),
+                  static_cast<unsigned long long>(tx.seq));
+        c_split_outcomes_->inc();
+      }
+    }
     auto it = in_doubt_.find(tx);
-    if (it == in_doubt_.end()) return false;
+    if (it == in_doubt_.end()) return;
     info = std::move(it->second);
     in_doubt_.erase(it);
   }
   // One history event and one metrics sample per transaction, timed at the
-  // registration (crash) instant: whichever recovery path wins the race to
-  // resolve, the recorded output is identical — including across worker
-  // counts, where the winning path can differ by interleaving.
+  // registration (crash) instant: whichever settle comes first, the
+  // recorded output is identical — including across worker counts, where
+  // the first settle can differ by interleaving.
   if (committed) {
     if (history_ != nullptr) {
       verify::WriteSetEvent ev;
@@ -380,7 +396,6 @@ bool Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
                           info.externalized);
     c_indoubt_aborts_->inc();
   }
-  return true;
 }
 
 std::size_t Cluster::in_doubt_count() const {
@@ -391,20 +406,6 @@ std::size_t Cluster::in_doubt_count() const {
 void Cluster::note_commit_acked(const TxId& tx) {
   std::lock_guard<std::mutex> lk(in_doubt_mu_);
   acked_commits_.insert(tx);
-}
-
-void Cluster::note_recovery_abort(const TxId& tx) {
-  bool lost = false;
-  {
-    std::lock_guard<std::mutex> lk(in_doubt_mu_);
-    lost = acked_commits_.count(tx) != 0;
-  }
-  if (lost && c_lost_commits_ != nullptr) {
-    STR_ERROR("lost commit: recovery aborted client-acked txn n%u#%llu",
-              static_cast<unsigned>(tx.node),
-              static_cast<unsigned long long>(tx.seq));
-    c_lost_commits_->inc();
-  }
 }
 
 void Cluster::schedule_maintenance() {

@@ -257,10 +257,12 @@ class Cluster {
   //
   // A coordinator that crashes with a decision locally durable but the
   // quorum barrier still open can neither commit nor abort the transaction
-  // at crash time: the fate depends on which copies survive and who asks.
-  // The registry parks such transactions cluster-side; exactly one
-  // resolution (coordinator replay, participant census, or a decision
-  // reply) emits the single history event and the metrics sample, pinned at
+  // at crash time: its fate is whatever the one rule says — committed iff a
+  // group member other than the origin holds a durable copy — and a census
+  // finds that out later. The registry is the verification ledger of those
+  // fates, kept cluster-side. Coordinator::settle and settle_own are its
+  // only callers and the protocol never reads it. The first settle of a parked transaction
+  // emits its single history event and metrics sample, pinned at
   // registration time so every worker count reports identical output.
 
   struct InDoubtInfo {
@@ -274,20 +276,21 @@ class Cluster {
 
   void register_in_doubt(const TxId& tx, InDoubtInfo info);
 
-  /// Resolve tx's parked fate exactly once. Returns true when an entry
-  /// existed (first caller); later callers are no-ops.
-  bool resolve_in_doubt(const TxId& tx, bool committed);
+  /// Record a settled fate for tx. Every census, decision reply and
+  /// presumed abort settles through here, and all of them apply the same
+  /// rule, so they agree: a second settle with the same fate is a no-op,
+  /// one with the opposite fate is a split outcome — one transaction with
+  /// two outcomes — and bumps "recovery.split_outcomes" (quorum mode; the
+  /// ledger keeps each fate only then). An abort of a transaction whose
+  /// client already saw Commit is a lost commit — the exact event the quorum
+  /// commit point exists to prevent; "recovery.lost_commits" counts them
+  /// (always 0 when the quorum holds).
+  void resolve_in_doubt(const TxId& tx, bool committed);
 
   std::size_t in_doubt_count() const;
 
   /// A client was acked Commit for tx (the quorum barrier completed).
   void note_commit_acked(const TxId& tx);
-
-  /// Recovery is about to abort tx. If tx's client already saw Commit this
-  /// is a lost commit — the exact event the quorum commit point exists to
-  /// prevent; "recovery.lost_commits" counts them (always 0 when the quorum
-  /// holds).
-  void note_recovery_abort(const TxId& tx);
 
   /// Build one log for a node's partition replica or decision stream.
   /// `name` ("n3_p7.wal", "n3_decisions.wal") doubles as the file name under
@@ -381,6 +384,8 @@ class Cluster {
   /// shard hosts the resolving participant.
   mutable std::mutex in_doubt_mu_;
   std::unordered_map<TxId, InDoubtInfo, TxIdHash> in_doubt_;
+  /// Every fate settled so far (quorum mode): true = committed.
+  std::unordered_map<TxId, bool, TxIdHash> settled_;
   std::unordered_set<TxId, TxIdHash> acked_commits_;
   /// Resolution counters, registered iff the quorum is on. txn.commits /
   /// txn.aborts live cluster-side here (the deciding node is dead at
@@ -388,6 +393,7 @@ class Cluster {
   obs::Counter* c_indoubt_commits_ = nullptr;
   obs::Counter* c_indoubt_aborts_ = nullptr;
   obs::Counter* c_lost_commits_ = nullptr;
+  obs::Counter* c_split_outcomes_ = nullptr;
   /// Latest fault-plan restart per node (0 = none scheduled), for
   /// QuiesceReport::permanently_down.
   std::vector<Timestamp> last_restart_at_;

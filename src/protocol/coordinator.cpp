@@ -41,6 +41,12 @@ Coordinator::Coordinator(Node& node) : node_(node) {
   t_commit_snap_dist_ = &obs.timer("phase.commit_snapshot_distance");
   c_rpc_timeouts_ = &obs.counter("rpc.timeouts");
   c_rpc_retries_ = &obs.counter("rpc.retries");
+  c_orphan_aborts_ = &obs.counter("txn.orphan_aborts");
+}
+
+void Coordinator::set_decision_log(storage::ReplicatedDecisionLog* rlog) {
+  rlog_ = rlog;
+  c_census_decisions_ = &node_.obs().counter("recovery.census_decisions");
 }
 
 bool Coordinator::spec_active() const {
@@ -1172,7 +1178,8 @@ void Coordinator::on_decision_replicate(const DecisionReplicate& m) {
   // Duplicate copies (retransmits) are harmless in the log — replay
   // overwrites the same entry — but skip the append when the copy is
   // already durable here to keep the member log from growing per resend.
-  if (decided_committed(m.tx)) {
+  if (auto it = decided_.find(m.tx);
+      it != decided_.end() && it->second.decision == TxDecision::Committed) {
     DecisionReplicateAck ack;
     ack.tx = m.tx;
     ack.from = node_.id();
@@ -1205,6 +1212,89 @@ void Coordinator::on_decision_replicate_ack(const DecisionReplicateAck& m) {
   STR_ASSERT(m.kind == DecisionAckKind::kAck);
   if (rlog_ == nullptr || !node_.up()) return;
   rlog_->on_ack(m.tx, m.from);
+}
+
+void Coordinator::on_census_reply(const DecisionReplicateAck& rep) {
+  ScopedLogNode log_node(node_.id());
+  auto it = census_.find(rep.tx);
+  if (it == census_.end()) return;  // settled meanwhile
+  const Census::Verdict v = it->second.on_reply(node_, rep, nullptr);
+  if (v == Census::Verdict::kPending) return;
+  // An abort concluded past the deadline may count a pruned copy as
+  // kNoRecord; the next tick settles by the origin's copy instead.
+  if (v == Census::Verdict::kAborted && past_census_deadline(rep.tx)) return;
+  settle_own(rep.tx, v == Census::Verdict::kCommitted);
+}
+
+bool Coordinator::past_census_deadline(const TxId& tx) const {
+  return node_.cluster().now() >=
+         decided_.at(tx).at +
+             node_.cluster().protocol().recovery.decision_log_retention;
+}
+
+void Coordinator::census_tick(std::uint64_t gen) {
+  if (gen != census_gen_ || census_.empty()) return;
+  ScopedLogNode log_node(node_.id());
+  std::vector<TxId> open;
+  open.reserve(census_.size());
+  for (const auto& [tx, c] : census_) open.push_back(tx);
+  std::sort(open.begin(), open.end());
+  for (const TxId& tx : open) {
+    // Members drop their copies decision_log_retention after the decision,
+    // so from then on a kNoRecord no longer means "no copy": a census still
+    // open (a member down all along) trusts the origin's durable copy, as
+    // replay_decisions does for decisions older than the census window.
+    if (past_census_deadline(tx)) {
+      settle_own(tx, true);
+      continue;
+    }
+    const Census::Verdict v =
+        census_.at(tx).tick(node_, tx, kInvalidPartition, nullptr);
+    if (v != Census::Verdict::kPending) {
+      settle_own(tx, v == Census::Verdict::kCommitted);
+    }
+  }
+  if (census_.empty()) return;
+  node_.cluster().scheduler().schedule_after(
+      node_.cluster().protocol().recovery.orphan_timeout,
+      [this, gen]() { census_tick(gen); });
+}
+
+void Coordinator::settle(const TxId& tx, bool committed, Timestamp commit_ts,
+                         PartitionActor& at) {
+  if (committed) {
+    at.apply_commit(tx, commit_ts);
+  } else {
+    c_orphan_aborts_->inc();
+    at.apply_abort(tx);
+  }
+  node_.cluster().resolve_in_doubt(tx, committed);
+}
+
+void Coordinator::settle_own(const TxId& tx, bool committed) {
+  census_.erase(tx);
+  Decision& d = decided_.at(tx);
+  if (committed) {
+    d.decision = TxDecision::Committed;
+  } else {
+    d = Decision{TxDecision::Aborted, 0, node_.cluster().now()};
+    // Durable abort: a later replay reads it after the kDecision record and
+    // cannot re-derive the commit. Until it syncs, a crash re-runs the
+    // census, which reaches the same verdict over the frozen copy set.
+    wire::Buffer frame;
+    storage::encode_abort(frame, tx);
+    decision_wal_->append(std::move(frame));
+  }
+  for (PartitionId pid : node_.sorted_pids()) {
+    PartitionActor* r = node_.replica(pid);
+    if (!r->store().has_uncommitted(tx)) continue;
+    if (committed) {
+      r->apply_commit(tx, d.commit_ts, /*already_logged=*/true);
+    } else {
+      r->apply_abort(tx);
+    }
+  }
+  node_.cluster().resolve_in_doubt(tx, committed);
 }
 
 void Coordinator::on_crash() {
@@ -1245,6 +1335,8 @@ void Coordinator::on_crash() {
   // decided_ is no longer magically durable: forget everything and let
   // replay_decisions() rebuild exactly the synced prefix on restart.
   decided_.clear();
+  census_.clear();
+  ++census_gen_;
 }
 
 void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
@@ -1252,15 +1344,14 @@ void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
   Cluster& cluster = node_.cluster();
   if (durable && rlog_ != nullptr) {
     // Quorum mode, decision locally durable, apply never ran: the quorum
-    // barrier was still open, so whether the commit point was reached
-    // depends on state this dead node cannot see (member copies, in-flight
-    // acks). Neither the single-copy rule ("durable => committed") nor
-    // presumed abort is sound here — a census over the surviving members
-    // may conclude either way. Park the fate in the cluster's in-doubt
-    // registry; exactly one recovery path (own replay, a participant
-    // census, or a decision reply) resolves it and emits the one history
-    // event. The client sees a crash abort now — standard 2PC: an
-    // unacknowledged outcome may still resolve Commit later.
+    // barrier was still open, so the fate depends on state this dead node
+    // cannot see — whether a member holds a durable copy. Neither "durable
+    // => committed" nor presumed abort is sound here; the census decides
+    // (docs/DURABILITY.md §8), run by the participants while this node is
+    // down and by this node itself after its restart. Park the transaction
+    // in the cluster's in-doubt registry; the first settle emits the one
+    // history event. The client sees a crash abort now — standard 2PC: an
+    // unacknowledged outcome may still settle Commit later.
     Cluster::InDoubtInfo info;
     info.commit_ts = rec.fc;
     info.reg_at = cluster.now();
@@ -1358,35 +1449,53 @@ void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
 
 void Coordinator::replay_decisions() {
   STR_ASSERT(decision_wal_ != nullptr);
+  Cluster& cluster = node_.cluster();
   decided_.clear();
   const storage::WalScanResult scan =
-      decision_wal_->replay([this](const storage::WalRecord& rec) {
-        if (rec.type != storage::WalRecordType::kDecision) return;
-        decided_[rec.tx] = Decision{TxDecision::Committed, rec.ts, rec.at};
+      decision_wal_->replay([&](const storage::WalRecord& rec) {
+        if (rec.type == storage::WalRecordType::kDecision) {
+          decided_[rec.tx] = Decision{TxDecision::Committed, rec.ts, rec.at};
+        } else if (rec.type == storage::WalRecordType::kAbort) {
+          // A census settled this decision abort (quorum mode).
+          decided_[rec.tx] = Decision{TxDecision::Aborted, 0, cluster.now()};
+        }
       });
   if (scan.torn) {
     STR_INFO("node %u decision log torn; recovered %llu bytes",
              static_cast<unsigned>(node_.id()),
              static_cast<unsigned long long>(scan.valid_bytes));
   }
-  // Quorum mode: transactions that were inside their quorum barrier at the
-  // crash sit in the cluster's in-doubt registry. Our own durable decision
-  // is authoritative — the partition replay below installs the writes — so
-  // the parked commit resolves here (first resolver wins; a census that
-  // beat us to it already emitted the event). Replica copies of OTHER
-  // coordinators' decisions stay out: they resolve when a participant
-  // census actually applies the commit.
-  if (rlog_ != nullptr) {
-    std::vector<TxId> own;
-    for (const auto& [tx, d] : decided_) {
-      if (tx.node == node_.id() && d.decision == TxDecision::Committed) {
-        own.push_back(tx);
-      }
+  if (rlog_ == nullptr) return;
+  // Quorum mode: this node's own durable decision is not authoritative — a
+  // barrier the crash interrupted may have left no member copy, and then
+  // the participants' census has presumed abort everywhere else. Any own
+  // decision that can have been in doubt goes to the census instead. A
+  // member copy outlives its append by decision_log_retention, and the
+  // census may take orphan_down_probes rounds at orphan_interval_cap, so
+  // the decisions younger than the difference are the smallest superset
+  // the census can still settle soundly: it covers every barrier in flight
+  // at the crash as long as downtime plus barrier stay inside it.
+  const RecoveryConfig& rc = cluster.protocol().recovery;
+  const Timestamp budget = rc.orphan_down_probes * rc.orphan_interval_cap;
+  const Timestamp window = rc.decision_log_retention > budget
+                               ? rc.decision_log_retention - budget
+                               : 0;
+  const Timestamp now = cluster.now();
+  const Timestamp horizon = now > window ? now - window : 0;
+  for (auto& [tx, d] : decided_) {
+    if (tx.node != node_.id() || d.decision != TxDecision::Committed ||
+        d.at < horizon) {
+      continue;
     }
-    std::sort(own.begin(), own.end());
-    Cluster& cluster = node_.cluster();
-    for (const TxId& tx : own) cluster.resolve_in_doubt(tx, true);
+    d.decision = TxDecision::Unknown;
+    census_.try_emplace(tx);
   }
+  c_census_decisions_->inc(census_.size());
+  if (census_.empty()) return;
+  // First round once the partitions have replayed (the staged writes must
+  // exist before a verdict can install or drop them).
+  cluster.scheduler().schedule_now(
+      [this, gen = census_gen_]() { census_tick(gen); });
 }
 
 void Coordinator::maintain(Timestamp now) {
@@ -1405,8 +1514,10 @@ void Coordinator::maintain(Timestamp now) {
     }
     std::sort(pinned.begin(), pinned.end());
   }
+  // Decisions under the restart census stay until they settle.
   std::erase_if(decided_, [cutoff, &pinned](const auto& kv) {
     return kv.second.at < cutoff &&
+           kv.second.decision != TxDecision::Unknown &&
            !std::binary_search(pinned.begin(), pinned.end(), kv.first);
   });
   // Decision-log compaction: rewrite the surviving entries once the log has
@@ -1422,8 +1533,28 @@ void Coordinator::maintain(Timestamp now) {
               [](const auto& a, const auto& b) { return a.first < b.first; });
     wire::Buffer log;
     for (const auto& [tx, d] : keep_entries) {
-      if (d.decision != TxDecision::Committed) continue;
+      // Aborts need no record: dropping the commit with them presumes
+      // abort. Unsettled (Unknown) decisions are durable commit decisions.
+      if (d.decision == TxDecision::Aborted) continue;
       storage::encode_decision(log, tx, d.commit_ts, d.at);
+    }
+    // Quorum mode: a decision still inside its barrier is durable but not
+    // yet in decided_. Carry it over and re-point its crash-time offset
+    // into the rewritten log, or a crash would find it neither durable nor
+    // replayable while members hold copies of it.
+    std::vector<txn::TxnRecord*> in_barrier;
+    for (const auto& [tx, rec] : txns_) {
+      if (rec->phase == txn::TxnPhase::Committed &&
+          rec->wal_decision_end != 0) {
+        in_barrier.push_back(rec.get());
+      }
+    }
+    std::sort(in_barrier.begin(), in_barrier.end(),
+              [](const auto* a, const auto* b) { return a->id < b->id; });
+    for (txn::TxnRecord* rec : in_barrier) {
+      storage::encode_decision(log, rec->id, rec->fc,
+                               node_.cluster().now());
+      rec->wal_decision_end = log.size();
     }
     decision_wal_->rewrite(std::move(log));
   }

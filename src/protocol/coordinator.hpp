@@ -30,6 +30,7 @@
 #include "common/types.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "protocol/census.hpp"
 #include "protocol/messages.hpp"
 #include "sim/coro.hpp"
 #include "storage/decision_log.hpp"
@@ -40,6 +41,7 @@
 namespace str::protocol {
 
 class Node;
+class PartitionActor;
 
 class Coordinator {
  public:
@@ -79,7 +81,8 @@ class Coordinator {
 
   /// A participant holding a prepared-but-undecided transaction of this
   /// coordinator asks for its fate. Answered from the live record, from the
-  /// durable decision log, or — with neither — as presumed abort. In quorum
+  /// durable decision log, or — with neither — as presumed abort; a
+  /// decision still under the restart census answers Unknown. In quorum
   /// mode a request for ANOTHER coordinator's transaction is a census probe
   /// against this node's replica copy; it is answered with a
   /// DecisionReplicateAck (kCommitted/kNoRecord) and never presumes abort.
@@ -93,6 +96,18 @@ class Coordinator {
 
   /// Origin entry point: a member acked a durable copy (kind == kAck).
   void on_decision_replicate_ack(const DecisionReplicateAck& m);
+
+  /// A member's answer to this node's restart census (kCommitted/kNoRecord
+  /// sent back with partition == kInvalidPartition).
+  void on_census_reply(const DecisionReplicateAck& rep);
+
+  /// A participant's recovery verdict for `tx` at replica `at` (a census
+  /// conclusion, a decision reply, a presumed abort): install or drop the
+  /// pre-commit there. It and settle_own() are the only callers of the
+  /// cluster's in-doubt registry, a verification ledger the protocol never
+  /// reads.
+  void settle(const TxId& tx, bool committed, Timestamp commit_ts,
+              PartitionActor& at);
 
   /// Abort a transaction of this node (also called by partition actors when
   /// replicated remote pre-commits evict local speculation). `cascade_of`
@@ -122,9 +137,7 @@ class Coordinator {
   /// Attach the quorum wrapper around the decision log (quorum mode only).
   /// With it, the commit point moves from "local decision fsync" to
   /// "decision durable on a quorum of the replica group".
-  void set_decision_log(storage::ReplicatedDecisionLog* rlog) {
-    rlog_ = rlog;
-  }
+  void set_decision_log(storage::ReplicatedDecisionLog* rlog);
 
   /// Quorum barriers still waiting on member acks (tests/quiesce).
   std::size_t pending_quorum_barriers() const {
@@ -133,19 +146,16 @@ class Coordinator {
 
   /// Rebuild decided_ from the decision log (restart, before partition
   /// replay — locally-coordinated commit records are validated against it).
+  /// Resolves nothing: in quorum mode this node's own commit decisions young
+  /// enough to have been in doubt at the crash are marked Unknown, and a
+  /// census of the group — the same one participants run — settles them.
   void replay_decisions();
-
-  /// True when decided_ records `tx` as Committed (replayed or live).
-  bool decided_committed(const TxId& tx) const {
-    auto it = decided_.find(tx);
-    return it != decided_.end() &&
-           it->second.decision == TxDecision::Committed;
-  }
 
   /// Look up tx in decided_ (own decisions and, in quorum mode, replica
   /// copies of other coordinators'). The census consults this on the
   /// probing node first — self-membership and replayed copies answer
-  /// without a network hop.
+  /// without a network hop. Own decisions under the restart census read
+  /// Unknown, with their commit timestamp.
   bool find_decision(const TxId& tx, TxDecision* decision,
                      Timestamp* commit_ts) const {
     auto it = decided_.find(tx);
@@ -304,6 +314,9 @@ class Coordinator {
   obs::Timer* t_commit_snap_dist_ = nullptr;
   obs::Counter* c_rpc_timeouts_ = nullptr;
   obs::Counter* c_rpc_retries_ = nullptr;
+  obs::Counter* c_orphan_aborts_ = nullptr;
+  /// Own decisions handed to the restart census (quorum mode only).
+  obs::Counter* c_census_decisions_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_read_id_ = 1;
   std::unordered_map<TxId, std::unique_ptr<txn::TxnRecord>, TxIdHash> txns_;
@@ -317,6 +330,8 @@ class Coordinator {
   /// Durable decision log (the WAL-with-data assumption, docs/FAULTS.md):
   /// survives crashes, answers DecisionRequests, pruned by retention.
   /// Populated only when recovery is enabled.
+  /// Unknown marks an own durable commit decision awaiting its restart
+  /// census (quorum mode); it answers probes Unknown until settled.
   struct Decision {
     TxDecision decision = TxDecision::Unknown;
     Timestamp commit_ts = 0;
@@ -331,6 +346,23 @@ class Coordinator {
   /// point is on. Appends still land in decision_wal_ — this only tracks
   /// the member-ack barrier and retransmits.
   storage::ReplicatedDecisionLog* rlog_ = nullptr;
+
+  /// Restart census over this node's own decisions (quorum mode): one
+  /// Census per decision decided_ holds as Unknown. Volatile — a crash
+  /// clears it and the next replay re-derives it.
+  std::unordered_map<TxId, Census, TxIdHash> census_;
+  /// Bumped by on_crash(): census ticks from a previous life are inert.
+  std::uint64_t census_gen_ = 0;
+  /// One round over every unsettled own decision; re-arms itself until
+  /// the last one settles.
+  void census_tick(std::uint64_t gen);
+  /// tx's decision is decision_log_retention old: members may have pruned
+  /// their copies, so the census can no longer conclude abort.
+  bool past_census_deadline(const TxId& tx) const;
+  /// The restart census's verdict on this node's own decision: commit
+  /// installs the staged writes on every replica here; abort drops them and
+  /// logs a durable kAbort so no later replay re-derives the commit.
+  void settle_own(const TxId& tx, bool committed);
 };
 
 /// Thin value handle passed to workload transaction bodies.

@@ -42,6 +42,9 @@ class Node {
   /// The replica of partition p hosted here, or nullptr.
   PartitionActor* replica(PartitionId p);
 
+  /// Ids of the replicas hosted here, ascending (deterministic iteration).
+  const std::vector<PartitionId>& sorted_pids() const { return sorted_pids_; }
+
   /// All partition replicas hosted here (quiesce inspection).
   const std::unordered_map<PartitionId, std::unique_ptr<PartitionActor>>&
   replicas() const {

@@ -18,7 +18,6 @@ PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
   tracer_ = &node.cluster().tracer();
   t_read_block_ = &node.obs().timer("phase.read_block");
   g_parked_ = &node.obs().gauge("store.parked_readers");
-  c_orphan_aborts_ = &node.obs().counter("txn.orphan_aborts");
   wal_ = node.cluster().make_wal("n" + std::to_string(node.id()) + "_p" +
                                      std::to_string(pid) + ".wal",
                                  node.id(), node.obs());
@@ -390,22 +389,26 @@ void PartitionActor::orphan_check(const TxId& tx) {
       // the survivors instead of presuming abort unilaterally; the
       // single-copy escape hatch below is unreachable while the quorum
       // holds.
-      census_check(tx, o);
-      if (awaiting_decision_.find(tx) == awaiting_decision_.end()) return;
+      Timestamp ct = 0;
+      const Census::Verdict v = o.census.tick(node_, tx, pid_, &ct);
+      if (v != Census::Verdict::kPending) {
+        node_.coordinator().settle(tx, v == Census::Verdict::kCommitted, ct,
+                                   *this);
+        return;
+      }
     } else if (++o.down_probes >= rc.orphan_down_probes) {
       // Perfect failure detector (docs/FAULTS.md): only after seeing the
       // coordinator down on several consecutive probes do we presume abort
       // unilaterally and release the pre-commit lock.
-      c_orphan_aborts_->inc();
-      apply_abort(tx);
+      node_.coordinator().settle(tx, false, 0, *this);
       return;
     }
   } else {
     o.down_probes = 0;
-    // A coordinator restart invalidates any census in flight: probe it
-    // directly again (it replayed its own log and answers authoritatively).
-    o.census_pending.clear();
-    o.census_norecord_rounds = 0;
+    // A restarted coordinator answers for its own decisions (its restart
+    // census applies the same rule), so drop any census in flight and ask
+    // it directly.
+    o.census = Census{};
     ++o.probes;
     DecisionRequest req;
     req.tx = tx;
@@ -445,92 +448,16 @@ void PartitionActor::on_decision_reply(DecisionReply rep) {
   }
   switch (rep.decision) {
     case TxDecision::Committed:
-      apply_commit(rep.tx, rep.commit_ts);
+      node_.coordinator().settle(rep.tx, true, rep.commit_ts, *this);
       break;
     case TxDecision::Aborted:
-      c_orphan_aborts_->inc();
-      apply_abort(rep.tx);
+      node_.coordinator().settle(rep.tx, false, 0, *this);
       break;
     case TxDecision::Unknown:
-      // The coordinator is still deciding; keep waiting (the orphan timer
-      // stays armed).
+      // The coordinator is still deciding (or still censusing its group
+      // after a restart); keep waiting (the orphan timer stays armed).
       break;
   }
-}
-
-void PartitionActor::census_check(const TxId& tx, Orphan& o) {
-  Cluster& cluster = node_.cluster();
-  const RecoveryConfig& rc = cluster.protocol().recovery;
-  // This node may itself be a group member (or hold a replayed copy):
-  // consult the local replica copy before spending a network round.
-  TxDecision d = TxDecision::Unknown;
-  Timestamp ct = 0;
-  if (node_.coordinator().find_decision(tx, &d, &ct) &&
-      d == TxDecision::Committed) {
-    cluster.resolve_in_doubt(tx, true);
-    apply_commit(tx, ct);  // erases the orphan entry
-    return;
-  }
-  // Surviving members: the group minus the dead coordinator and us.
-  std::vector<NodeId> members;
-  for (NodeId m : cluster.decision_group(o.coordinator)) {
-    if (m != o.coordinator && m != node_.id()) members.push_back(m);
-  }
-  bool all_up = true;
-  for (NodeId m : members) {
-    if (!cluster.node(m).up()) {
-      all_up = false;
-      break;
-    }
-  }
-  if (!all_up) {
-    // A member that may hold the decisive copy is unreachable: this round
-    // cannot conclude "no copy anywhere". Abandon it and stall — a
-    // permanently lost quorum shows up as a stuck orphan (an explicit
-    // quiesce leak), never as a wrong answer.
-    o.census_pending.clear();
-    return;
-  }
-  if (members.empty()) {
-    // Nothing beyond the copies already consulted can exist: vacuous
-    // rounds count like down-probes.
-    if (++o.census_norecord_rounds >= rc.orphan_down_probes) {
-      census_abort(tx);  // erases the orphan entry
-    }
-    return;
-  }
-  const bool new_round = o.census_pending.empty();
-  if (new_round) o.census_pending = members;
-  // (Re-)probe whoever has not answered this round; a lost probe or reply
-  // is recovered by the next tick re-sending to the stragglers.
-  for (NodeId m : o.census_pending) {
-    DecisionRequest req;
-    req.tx = tx;
-    req.partition = pid_;
-    req.from = node_.id();
-    if (tracer_->enabled()) {
-      const std::uint64_t pspan = tracer_->next_span_id();
-      tracer_->emit_span(
-          {pspan, 0, tx, node_.id(), obs::SpanKind::Probe, cluster.now(),
-           cluster.now(),
-           static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest),
-           pid_});
-      req.tspan = pspan;
-    }
-    wire::post(cluster, node_.id(), m, std::move(req));
-  }
-}
-
-void PartitionActor::census_abort(const TxId& tx) {
-  Cluster& cluster = node_.cluster();
-  // Every surviving member answered "no copy" for enough complete rounds:
-  // the decision never reached its quorum, so the apply never ran and no
-  // client was acked — presumed abort is safe. note_recovery_abort flags
-  // the (invariant-violating) case where an ack did happen.
-  c_orphan_aborts_->inc();
-  cluster.note_recovery_abort(tx);
-  cluster.resolve_in_doubt(tx, false);
-  apply_abort(tx);
 }
 
 void PartitionActor::on_census_reply(const DecisionReplicateAck& rep) {
@@ -546,23 +473,11 @@ void PartitionActor::on_census_reply(const DecisionReplicateAck& rep) {
          static_cast<std::uint64_t>(wire::MessageType::kDecisionReplicateAck),
          pid_});
   }
-  if (rep.kind == DecisionAckKind::kCommitted) {
-    node_.cluster().resolve_in_doubt(rep.tx, true);
-    apply_commit(rep.tx, rep.commit_ts);
-    return;
-  }
-  STR_ASSERT(rep.kind == DecisionAckKind::kNoRecord);
-  // Dedup per member per round: erasing from the pending set is idempotent
-  // against duplicated deliveries and re-sent probes.
-  auto m = std::find(o.census_pending.begin(), o.census_pending.end(),
-                     rep.from);
-  if (m == o.census_pending.end()) return;
-  o.census_pending.erase(m);
-  if (!o.census_pending.empty()) return;
-  // Round complete, all NoRecord.
-  if (++o.census_norecord_rounds >=
-      node_.cluster().protocol().recovery.orphan_down_probes) {
-    census_abort(rep.tx);
+  Timestamp ct = 0;
+  const Census::Verdict v = o.census.on_reply(node_, rep, &ct);
+  if (v != Census::Verdict::kPending) {
+    node_.coordinator().settle(rep.tx, v == Census::Verdict::kCommitted, ct,
+                               *this);
   }
 }
 
@@ -631,14 +546,24 @@ void PartitionActor::replay_wal() {
             drop_staged(rec.tx);
             staged.push_back({rec.tx, rec.ts, rec.updates});
             break;
-          case storage::WalRecordType::kCommit:
+          case storage::WalRecordType::kCommit: {
             drop_staged(rec.tx);
-            if (rec.tx.node == node_.id() && !coord.decided_committed(rec.tx)) {
-              // Locally-coordinated commit whose decision record did not
-              // survive: the client ack never happened (the decision sync is
-              // the commit point), so presumed abort wins.
-              if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
-              break;
+            if (rec.tx.node == node_.id()) {
+              TxDecision d = TxDecision::Aborted;  // no record: presumed
+              coord.find_decision(rec.tx, &d, nullptr);
+              if (d == TxDecision::Unknown) {
+                // Own decision under the restart census: stage the writes
+                // invisibly; the verdict installs or drops them.
+                staged.push_back({rec.tx, rec.ts, rec.updates});
+                break;
+              }
+              if (d == TxDecision::Aborted) {
+                // Locally-coordinated commit whose decision record did not
+                // survive, or that the census settled abort: the client ack
+                // never happened (the decision sync is the commit point).
+                if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
+                break;
+              }
             }
             if (std::find(installed.begin(), installed.end(), rec.tx) !=
                 installed.end()) {
@@ -659,6 +584,7 @@ void PartitionActor::replay_wal() {
               }
             }
             break;
+          }
           case storage::WalRecordType::kAbort:
             drop_staged(rec.tx);
             if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
@@ -672,14 +598,16 @@ void PartitionActor::replay_wal() {
              static_cast<unsigned>(pid_), scan.valid_bytes);
   }
 
-  // Surviving staged prepares are remote in-doubt transactions whose ack may
-  // have left this node: reinstate their pre-commit locks. Sorted for
-  // deterministic insertion order. This node's own staged prepares cannot
-  // exist (local prepares are never logged), but skip them defensively.
+  // Surviving staged records are in doubt: remote prepares whose ack may
+  // have left this node, and this node's own commits awaiting the restart
+  // census. Reinstate them as pre-commit locks, invisible to readers until
+  // the verdict. Sorted for deterministic insertion order.
   std::sort(staged.begin(), staged.end(),
             [](const Staged& a, const Staged& b) { return a.tx < b.tx; });
   for (const Staged& s : staged) {
-    if (s.tx.node == node_.id()) continue;
+    if (s.tx.node == node_.id()) {
+      own_commit_records_.emplace_back(s.tx, s.proposed);
+    }
     if (store_.has_uncommitted(s.tx)) continue;  // checkpoint already did it
     for (const auto& [key, value] : s.updates) {
       store_.replay_insert(

@@ -17,6 +17,7 @@
 #include "common/types.hpp"
 #include "common/unique_function.hpp"
 #include "obs/trace.hpp"
+#include "protocol/census.hpp"
 #include "protocol/messages.hpp"
 #include "storage/wal.hpp"
 #include "store/mvstore.hpp"
@@ -90,7 +91,8 @@ class PartitionActor {
   /// prepared-but-undecided transactions, and floors future timestamp
   /// proposals above the restart clock (the LastReader table died with the
   /// crash). Locally-coordinated commit records require a replayed decision
-  /// — run Coordinator::replay_decisions() first.
+  /// — run Coordinator::replay_decisions() first — and are staged, not
+  /// installed, while that decision awaits the restart census.
   void replay_wal();
 
   /// This replica's log (nullptr when the WAL is off). The node crashes
@@ -210,32 +212,15 @@ class PartitionActor {
     std::uint32_t down_probes = 0;  ///< consecutive probes finding the
                                     ///< coordinator down
     /// Census over a dead coordinator's replica group (quorum mode).
-    /// Members yet to answer the round in flight; empty = no round open.
-    std::vector<NodeId> census_pending;
-    /// Complete rounds in which every member answered kNoRecord. Once the
-    /// origin is dead its copy set is frozen (members drop replicates from
-    /// a down origin), so NoRecord answers can never turn into copies —
-    /// the counter only needs to survive lost messages, not flapping.
-    std::uint32_t census_norecord_rounds = 0;
+    Census census;
   };
   std::unordered_map<TxId, Orphan, TxIdHash> awaiting_decision_;
-
-  /// One census tick of orphan_check while the coordinator is down in
-  /// quorum mode: consult the local replica copy, then probe the surviving
-  /// group members; presume abort only after `orphan_down_probes` complete
-  /// all-NoRecord rounds.
-  void census_check(const TxId& tx, Orphan& o);
-
-  /// The census concluded no quorum copy exists: the decision never
-  /// reached its quorum, so no client was acked — presumed abort.
-  void census_abort(const TxId& tx);
 
   /// Convoy-effect instruments: how long reads sit parked behind
   /// pre-commit locks, and how many are parked right now.
   obs::Tracer* tracer_ = nullptr;
   obs::Timer* t_read_block_ = nullptr;
   obs::Gauge* g_parked_ = nullptr;
-  obs::Counter* c_orphan_aborts_ = nullptr;
 };
 
 }  // namespace str::protocol

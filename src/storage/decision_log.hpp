@@ -7,11 +7,14 @@
 // two invariants hold by construction:
 //
 //   member copy exists  =>  the origin's local copy is durable
-//   quorum reached      =>  a restart replay re-derives the same decision
+//   quorum reached      =>  a member copy exists (quorum >= 2)
 //
-// which is what lets crash recovery reconcile the coordinator's replay, the
-// participants' census over surviving members, and the client ack without a
-// consensus round (the group is static; see the failure matrix in the doc).
+// and members drop copies from a down origin, so the copy set is frozen at
+// the origin's crash. Recovery needs no consensus round: an interrupted
+// decision is committed iff a member other than the origin holds a copy,
+// and every census — the participants' and the restarted origin's —
+// applies that one rule to the same frozen set (protocol/census.hpp; the
+// group is static; see the failure matrix in the doc).
 //
 // The log itself stays a plain storage::Wal — this class only tracks acks
 // and retransmits. Sending is injected (`SendFn`): the protocol layer posts

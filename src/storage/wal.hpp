@@ -19,6 +19,8 @@
 //                 full update list — a commit record alone rebuilds the
 //                 committed writes, so replay never needs the prepare).
 //   kAbort      — tx aborted here (lazy; presumed abort covers its loss).
+//                 In a decision log: a census settled tx's commit decision
+//                 abort (quorum mode), overriding its kDecision at replay.
 //   kDecision   — node-level decision-log entry (tx, commit ts, decided
 //                 at). Only commits are logged: no decision record means
 //                 presumed abort.

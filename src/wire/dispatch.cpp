@@ -86,10 +86,15 @@ void deliver(Cluster& cl, NodeId to, const protocol::DecisionReplicate& m) {
 
 void deliver(Cluster& cl, NodeId to, const protocol::DecisionReplicateAck& m) {
   // kAck answers the coordinator's replicate fan-out; kCommitted/kNoRecord
-  // answer a participant replica's census probe (the ack carries the
-  // probing partition so it routes back to the waiting actor).
+  // answer a census probe. The ack carries the probing partition so it
+  // routes back to the waiting actor — or none, for the restarted origin's
+  // own census.
   if (m.kind == protocol::DecisionAckKind::kAck) {
     cl.node(to).coordinator().on_decision_replicate_ack(m);
+    return;
+  }
+  if (m.partition == kInvalidPartition) {
+    cl.node(to).coordinator().on_census_reply(m);
     return;
   }
   replica_of(cl, to, m.partition)->on_census_reply(m);

@@ -126,7 +126,8 @@ void usage() {
       "                      a fault-free recovery period\n"
       "  --verify            record the history and run the SPSI checker\n"
       "                      (exit 2 on violations, 3 on leaked state,\n"
-      "                       4 on lost client-acked commits)\n"
+      "                       4 on lost client-acked commits, 5 on a\n"
+      "                       transaction recovery settled both ways)\n"
       "  --drain S           drain seconds after the window              [3]\n"
       "durability (docs/DURABILITY.md):\n"
       "  --wal               write-ahead log every commit decision; crashed\n"
@@ -707,7 +708,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(first.rpc_retries),
         static_cast<unsigned long long>(first.orphan_aborts),
         opt.decision_quorum != 0
-            ? (" lost_commits=" + std::to_string(first.lost_commits)).c_str()
+            ? (" lost_commits=" + std::to_string(first.lost_commits) +
+               " split_outcomes=" + std::to_string(first.split_outcomes))
+                  .c_str()
             : "",
         transport_verdict.c_str(),
         first.quiesce.live_txns, first.quiesce.parked_reads,
@@ -719,6 +722,11 @@ int main(int argc, char** argv) {
                    "LOST COMMITS: %llu client-acked commit(s) were aborted "
                    "by recovery\n",
                    static_cast<unsigned long long>(first.lost_commits));
+    }
+    if (first.split_outcomes != 0) {
+      std::fprintf(stderr, "SPLIT OUTCOMES: %llu transaction(s) settled both "
+                   "ways by recovery\n",
+                   static_cast<unsigned long long>(first.split_outcomes));
     }
     if (opt.verify) {
       std::fprintf(rpt, "spsi: %llu violation(s)\n",
@@ -741,6 +749,10 @@ int main(int argc, char** argv) {
       // A lost acked commit is a durability-contract violation even when
       // the surviving history is SPSI-clean.
       rc = 4;
+    } else if (opt.verify && first.split_outcomes != 0) {
+      // One transaction, two outcomes: replicas disagree even where the
+      // checker's sampled history happens to stay clean.
+      rc = 5;
     }
   }
   return rc;
