@@ -126,6 +126,39 @@ void BM_MvStoreVersionChainScan(benchmark::State& state) {
 }
 BENCHMARK(BM_MvStoreVersionChainScan)->Arg(8)->Arg(64)->Arg(512);
 
+void BM_MvStoreGcSweep(benchmark::State& state) {
+  // One maintenance tick's sweep over a synth-hot-sized partition: 30k
+  // keys, of which ~200 carry a multi-version chain (an older committed
+  // version, the newest committed one, and an undecided pre-commit that
+  // keeps the chain long across sweeps). A sweep costs the ~200 chains;
+  // a full-table sweep would cost the 30k keys and show here at once.
+  constexpr int kKeys = 30000;
+  constexpr int kChains = 200;
+  store::PartitionStore s;
+  for (int k = 0; k < kKeys; ++k) s.load(k, "x");
+  std::uint64_t seq = 1;
+  for (int k = 0; k < kKeys; k += kKeys / kChains) {
+    for (Timestamp ts : {Timestamp{10}, Timestamp{20}}) {
+      const TxId tx{0, seq++};
+      std::vector<std::pair<Key, SharedValue>> upd{
+          {static_cast<Key>(k), std::make_shared<Value>("v")}};
+      s.prepare(tx, ts, upd, /*precise_clocks=*/false, ts);
+      if (ts == 10) s.final_commit(tx, ts);
+    }
+  }
+  Timestamp horizon = 15;
+  benchmark::DoNotOptimize(horizon);
+  s.gc(horizon);  // retire ts 0: each chain settles at {10, pending 20}
+  for (auto _ : state) {
+    s.gc(horizon);
+    benchmark::ClobberMemory();
+  }
+  state.counters["keys"] = kKeys;
+  state.counters["chains"] = kChains;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MvStoreGcSweep);
+
 void BM_RngUniform(benchmark::State& state) {
   Rng rng(4);
   std::uint64_t acc = 0;

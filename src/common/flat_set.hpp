@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <initializer_list>
 #include <utility>
@@ -36,9 +37,48 @@ class FlatSet {
     return {data_.insert(it, v), true};
   }
 
-  template <typename It>
-  void insert(It first, It last) {
-    for (; first != last; ++first) insert(*first);
+  /// Set union in place, linear in size() + other.size(). One forward
+  /// pass counts the union; the vector grows once, to the power of two at
+  /// or above it, and one backward merge fills it in place, writing each
+  /// shared element once. Sizing by the union rather than by size() +
+  /// other.size() matters for pooled sets: overlap is the common case, and
+  /// a record keeps its capacity across reuse. Power-of-two growth keeps
+  /// the pool on a few block sizes. Merging a set into itself is a no-op.
+  void merge(const FlatSet& other) {
+    if (&other == this || other.data_.empty()) return;
+    const std::size_t n = data_.size();
+    std::size_t u = n + other.data_.size();
+    for (auto a = data_.begin(), b = other.data_.begin();
+         a != data_.end() && b != other.data_.end();) {
+      if (*a < *b) {
+        ++a;
+      } else if (*b < *a) {
+        ++b;
+      } else {
+        --u;
+        ++a;
+        ++b;
+      }
+    }
+    if (u == n) return;  // other is a subset
+    if (data_.capacity() < u) data_.reserve(std::bit_ceil(u));
+    data_.resize(u);
+    auto out = data_.end();
+    auto mine = data_.begin() + static_cast<std::ptrdiff_t>(n);
+    auto theirs = other.data_.end();
+    // out - mine is the number of distinct elements still to place from
+    // `other`, so out never passes an unread element of ours. Once `other`
+    // is used up, the rest of our own run is already in place.
+    while (theirs != other.data_.begin()) {
+      if (mine != data_.begin() && *(theirs - 1) < *(mine - 1)) {
+        *--out = std::move(*--mine);
+      } else {
+        if (mine != data_.begin() && !(*(mine - 1) < *(theirs - 1))) {
+          --mine;  // equal: place one copy
+        }
+        *--out = *--theirs;
+      }
+    }
   }
 
   template <typename... Args>
@@ -60,6 +100,7 @@ class FlatSet {
 
   bool empty() const { return data_.empty(); }
   std::size_t size() const { return data_.size(); }
+  std::size_t capacity() const { return data_.capacity(); }
   void clear() { data_.clear(); }  ///< keeps capacity (pooled-record reuse)
   const_iterator begin() const { return data_.begin(); }
   const_iterator end() const { return data_.end(); }

@@ -25,6 +25,12 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
+Timestamp effective_drain(const ExperimentConfig& config) {
+  return config.cluster.faults.empty()
+             ? config.drain
+             : std::max(config.drain, kFaultDrainFloor);
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const WorkloadFactory& factory) {
   protocol::Cluster::Config cluster_config = config.cluster;
@@ -93,12 +99,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // the drain belong to transactions started inside the window and are
   // kept, matching how the paper's clients are stopped).
   clients.request_stop_all();
-  // Under faults the drain must also cover orphan recovery: a coordinator
-  // crash near the end of the window leaves prepared participants probing
-  // on second-scale timers.
-  Timestamp drain = config.drain;
-  if (!cluster_config.faults.empty()) drain = std::max(drain, sec(10));
-  cluster.run_for(drain);
+  cluster.run_for(effective_drain(config));
 
   const Metrics& m = cluster.metrics();
   ExperimentResult r;

@@ -50,6 +50,15 @@ struct ExperimentConfig {
   bool verify = false;
 };
 
+/// Floor on the drain under a fault plan: the drain must also cover orphan
+/// recovery, since a coordinator crash near the end of the window leaves
+/// prepared participants probing on second-scale timers.
+inline constexpr Timestamp kFaultDrainFloor = sec(10);
+
+/// The drain run_experiment actually runs: config.drain, raised to
+/// kFaultDrainFloor when the cluster has a fault plan.
+Timestamp effective_drain(const ExperimentConfig& config);
+
 /// One "phase.*" timer from the merged registry, for the per-phase latency
 /// breakdown table (virtual microseconds).
 struct PhaseStat {

@@ -1,6 +1,7 @@
 #include "protocol/coordinator.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -315,8 +316,7 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
     wrec->add_dependent(tx);
     // Transitive snapshot membership, for write-write chaining.
     rec->snapshot_lc_writers.insert(r.writer);
-    rec->snapshot_lc_writers.insert(wrec->snapshot_lc_writers.begin(),
-                                    wrec->snapshot_lc_writers.end());
+    rec->snapshot_lc_writers.merge(wrec->snapshot_lc_writers);
     cluster.metrics().record_read(/*speculative=*/true);
   } else {
     cluster.metrics().record_read(/*speculative=*/false);
@@ -448,7 +448,7 @@ void Coordinator::abort_tx(const TxId& tx, AbortReason reason,
   rec.phase = txn::TxnPhase::Aborted;
   rec.abort_reason = reason;
   if (cluster.protocol().recovery.enabled) {
-    decided_[rec.id] = Decision{TxDecision::Aborted, 0, cluster.now()};
+    record_decision(rec.id, Decision{TxDecision::Aborted, 0, cluster.now()});
   }
 
   // Remove this transaction's uncommitted versions from local replicas and
@@ -919,7 +919,7 @@ void Coordinator::finalize_commit(txn::TxnRecord& rec) {
     // actually synced — answering a probe "Committed" from a decision a
     // crash could still erase would let a participant apply a commit this
     // coordinator later presumes aborted.
-    decided_[rec.id] = Decision{TxDecision::Committed, ct, cluster.now()};
+    record_decision(rec.id, Decision{TxDecision::Committed, ct, cluster.now()});
   }
 
   // Read-only transactions skip the barrier: a crash can lose nothing of
@@ -945,8 +945,8 @@ void Coordinator::finalize_commit(txn::TxnRecord& rec) {
       if (r2 == nullptr || r2->phase != txn::TxnPhase::Committed) return;
       r2->wal_decision_end = 0;  // decision consumed; offset not live
       // Now — and only now — the decision may answer probes.
-      decided_[tx] =
-          Decision{TxDecision::Committed, ct, node_.cluster().now()};
+      record_decision(
+          tx, Decision{TxDecision::Committed, ct, node_.cluster().now()});
       finalize_commit_apply(*r2);
     };
     if (rlog_ != nullptr) {
@@ -1196,8 +1196,8 @@ void Coordinator::on_decision_replicate(const DecisionReplicate& m) {
         if (!node_.up()) return;  // crashed while the copy was flushing
         // The copy is durable: it now answers census probes and survives
         // this node's own restart (replay_decisions rebuilds it).
-        decided_[tx] =
-            Decision{TxDecision::Committed, ct, node_.cluster().now()};
+        record_decision(
+            tx, Decision{TxDecision::Committed, ct, node_.cluster().now()});
         DecisionReplicateAck ack;
         ack.tx = tx;
         ack.from = node_.id();
@@ -1277,7 +1277,8 @@ void Coordinator::settle_own(const TxId& tx, bool committed) {
   if (committed) {
     d.decision = TxDecision::Committed;
   } else {
-    d = Decision{TxDecision::Aborted, 0, node_.cluster().now()};
+    record_decision(tx,
+                    Decision{TxDecision::Aborted, 0, node_.cluster().now()});
     // Durable abort: a later replay reads it after the kDecision record and
     // cannot re-derive the commit. Until it syncs, a crash re-runs the
     // census, which reaches the same verdict over the frozen copy set.
@@ -1334,7 +1335,7 @@ void Coordinator::on_crash() {
   pending_remote_.clear();
   // decided_ is no longer magically durable: forget everything and let
   // replay_decisions() rebuild exactly the synced prefix on restart.
-  decided_.clear();
+  clear_decisions();
   census_.clear();
   ++census_gen_;
 }
@@ -1450,14 +1451,16 @@ void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
 void Coordinator::replay_decisions() {
   STR_ASSERT(decision_wal_ != nullptr);
   Cluster& cluster = node_.cluster();
-  decided_.clear();
+  clear_decisions();
   const storage::WalScanResult scan =
       decision_wal_->replay([&](const storage::WalRecord& rec) {
         if (rec.type == storage::WalRecordType::kDecision) {
-          decided_[rec.tx] = Decision{TxDecision::Committed, rec.ts, rec.at};
+          record_decision(rec.tx,
+                          Decision{TxDecision::Committed, rec.ts, rec.at});
         } else if (rec.type == storage::WalRecordType::kAbort) {
           // A census settled this decision abort (quorum mode).
-          decided_[rec.tx] = Decision{TxDecision::Aborted, 0, cluster.now()};
+          record_decision(rec.tx,
+                          Decision{TxDecision::Aborted, 0, cluster.now()});
         }
       });
   if (scan.torn) {
@@ -1498,28 +1501,60 @@ void Coordinator::replay_decisions() {
       [this, gen = census_gen_]() { census_tick(gen); });
 }
 
+void Coordinator::record_decision(const TxId& tx, const Decision& d) {
+  auto [it, inserted] = decided_.try_emplace(tx);
+  if (inserted || it->second.at != d.at) {
+    retire_queue_.emplace_back(d.at, tx);
+    std::push_heap(retire_queue_.begin(), retire_queue_.end(),
+                   std::greater<>{});
+  }
+  it->second = d;
+}
+
+void Coordinator::clear_decisions() {
+  decided_.clear();
+  retire_queue_.clear();
+  retire_overdue_.clear();
+}
+
 void Coordinator::maintain(Timestamp now) {
   if (decided_.empty() && decision_wal_ == nullptr) return;
   const Timestamp keep = node_.cluster().protocol().recovery.decision_log_retention;
   const Timestamp cutoff = now > keep ? now - keep : 0;
-  // A commit decision outlives its retention while one of this node's
-  // partition logs still holds the commit record it validates at replay:
-  // dropping it would turn that record into a presumed abort.
-  std::vector<TxId> pinned;
-  if (decision_wal_ != nullptr) {
-    for (const auto& [pid, actor] : node_.replicas()) {
-      for (const auto& [tx, ct] : actor->own_commit_records()) {
-        pinned.push_back(tx);
-      }
-    }
-    std::sort(pinned.begin(), pinned.end());
+  // Only decisions past the cutoff are visited: the ones that just crossed
+  // it, and the ones an earlier tick had to keep.
+  while (!retire_queue_.empty() && retire_queue_.front().first < cutoff) {
+    std::pop_heap(retire_queue_.begin(), retire_queue_.end(),
+                  std::greater<>{});
+    retire_overdue_.push_back(retire_queue_.back());
+    retire_queue_.pop_back();
   }
-  // Decisions under the restart census stay until they settle.
-  std::erase_if(decided_, [cutoff, &pinned](const auto& kv) {
-    return kv.second.at < cutoff &&
-           kv.second.decision != TxDecision::Unknown &&
-           !std::binary_search(pinned.begin(), pinned.end(), kv.first);
-  });
+  if (!retire_overdue_.empty()) {
+    // A commit decision outlives its retention while one of this node's
+    // partition logs still holds the commit record it validates at replay:
+    // dropping it would turn that record into a presumed abort.
+    std::vector<TxId> pinned;
+    if (decision_wal_ != nullptr) {
+      for (const auto& [pid, actor] : node_.replicas()) {
+        for (const auto& [tx, ct] : actor->own_commit_records()) {
+          pinned.push_back(tx);
+        }
+      }
+      std::sort(pinned.begin(), pinned.end());
+    }
+    // Decisions under the restart census stay until they settle.
+    std::erase_if(retire_overdue_, [&](const auto& entry) {
+      const auto& [at, tx] = entry;
+      auto it = decided_.find(tx);
+      if (it == decided_.end() || it->second.at != at) return true;  // stale
+      if (it->second.decision == TxDecision::Unknown ||
+          std::binary_search(pinned.begin(), pinned.end(), tx)) {
+        return false;
+      }
+      decided_.erase(it);
+      return true;
+    });
+  }
   // Decision-log compaction: rewrite the surviving entries once the log has
   // grown by its last compaction (at least decision_log_max_bytes) — the
   // partition logs' checkpoint rule. Only when idle — a pending decision

@@ -338,6 +338,19 @@ class Coordinator {
     Timestamp at = 0;  ///< when decided (for retention pruning)
   };
   std::unordered_map<TxId, Decision, TxIdHash> decided_;
+  /// Retention queue over decided_: a min-heap of (at, tx), pushed
+  /// whenever an entry is created or its `at` changes. maintain() moves
+  /// pairs past the cutoff to retire_overdue_ and visits only those (the
+  /// cutoff never falls, so a pair once past it stays past it): pinned or
+  /// Unknown decisions wait there until they can go, and a pair whose
+  /// entry is gone or carries a different `at` is stale and dropped. Wiped
+  /// and rebuilt with decided_.
+  std::vector<std::pair<Timestamp, TxId>> retire_queue_;
+  std::vector<std::pair<Timestamp, TxId>> retire_overdue_;
+  /// Every write of a decided_ entry goes through here (keeps the
+  /// retention queue complete).
+  void record_decision(const TxId& tx, const Decision& d);
+  void clear_decisions();
   /// Node-level decision log (owned by the Node); nullptr when WAL is off.
   /// With it attached, decided_ stops being magically durable: a crash wipes
   /// it and replay_decisions() rebuilds exactly the synced prefix.

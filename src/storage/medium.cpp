@@ -43,8 +43,11 @@ void SimMedium::append(const std::uint8_t* data, std::size_t size) {
 
 void SimMedium::sync(UniqueFunction<void()> done) {
   STR_ASSERT_MSG(!syncing_, "Medium::sync while a sync is in flight");
-  inflight_ = std::move(pending_);
-  pending_.clear();
+  // Swap rather than move: inflight_ is empty (complete_sync and crash
+  // clear it) but keeps its capacity, so pending_ refills without regrowing
+  // and the two buffers recycle across flushes.
+  STR_ASSERT(inflight_.empty());
+  inflight_.swap(pending_);
   done_ = std::move(done);
   syncing_ = true;
   if (sched_ == nullptr) {
@@ -59,12 +62,20 @@ void SimMedium::sync(UniqueFunction<void()> done) {
 
 void SimMedium::complete_sync() {
   durable_.insert(durable_.end(), inflight_.begin(), inflight_.end());
-  inflight_.clear();
+  release_inflight();
   syncing_ = false;
   on_durable_changed();
   UniqueFunction<void()> done = std::move(done_);
   done_ = {};
   if (done) done();
+}
+
+void SimMedium::release_inflight() {
+  if (inflight_.capacity() > kRecycleBytes) {
+    wire::Buffer().swap(inflight_);
+  } else {
+    inflight_.clear();
+  }
 }
 
 void SimMedium::reset_durable(wire::Buffer bytes) {
@@ -81,7 +92,7 @@ void SimMedium::crash() {
   if (!syncing_) return;
   syncing_ = false;
   resolve_torn_tail(durable_, inflight_, torn_);
-  inflight_.clear();
+  release_inflight();
   on_durable_changed();
 }
 

@@ -75,8 +75,10 @@ StoreReadResult PartitionStore::peek(Key key, Timestamp rs) const {
     out.value = newest.value;
     return out;
   }
-  // Latest version with ts <= rs. Chains are short (GC) so a reverse linear
-  // scan beats binary search in practice.
+  // Latest version with ts <= rs. Reverse linear scan: snapshots mostly sit
+  // near the newest versions. Chains are short where GC keeps up, but not
+  // everywhere: a hot key (synth-hot's single local hotspot) carries every
+  // version its in-flight speculation and unpruned readers still need.
   for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
     if (rit->ts > rs) continue;
     StoreReadResult out;
@@ -203,7 +205,7 @@ PrepareResult PartitionStore::prepare(
   std::vector<Key>& mine = uncommitted_keys(tx);
   for (const auto& [key, value] : updates) {
     KeyEntry& entry = map_[key];
-    insert_sorted(entry.versions,
+    insert_sorted(key, entry,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
     mine.push_back(key);
@@ -258,7 +260,7 @@ Timestamp PartitionStore::replicate_finish(
   std::vector<Key>& mine = uncommitted_keys(tx);
   for (const auto& [key, value] : updates) {
     KeyEntry& entry = map_[key];
-    insert_sorted(entry.versions,
+    insert_sorted(key, entry,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
     mine.push_back(key);
@@ -368,9 +370,13 @@ std::vector<TxId> PartitionStore::uncommitted_writers(
 
 void PartitionStore::gc(Timestamp horizon) {
   const std::uint64_t removed_before = gc_removed_;
-  for (auto& slot : map_) {
-    auto& chain = slot.value.versions;
-    if (chain.size() <= 1) continue;
+  // Keys off the list hold at most one version: nothing to prune there.
+  // Chains are independent, so the visiting order does not matter.
+  std::size_t listed = 0;
+  for (Key key : gc_keys_) {
+    KeyEntry* entry = map_.find(key);
+    STR_ASSERT(entry != nullptr);  // keys leave map_ only via clear_all
+    auto& chain = entry->versions;
     // Find the newest committed version at or below the horizon; everything
     // committed strictly older than it is unreachable for any reader with
     // RS >= horizon.
@@ -381,21 +387,28 @@ void PartitionStore::gc(Timestamp horizon) {
         break;
       }
     }
-    if (keep_from == 0) continue;
-    // Only drop committed versions below keep_from (uncommitted ones are
-    // still subject to in-flight certification). Compact in place: the
-    // chain keeps its capacity, so post-GC inserts don't regrow the vector.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      if (i < keep_from && chain[i].state == VersionState::Committed) {
-        ++gc_removed_;
-        continue;
+    if (keep_from != 0) {
+      // Only drop committed versions below keep_from (uncommitted ones are
+      // still subject to in-flight certification). Compact in place: the
+      // chain keeps its capacity, so post-GC inserts don't regrow it.
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < chain.size(); ++i) {
+        if (i < keep_from && chain[i].state == VersionState::Committed) {
+          ++gc_removed_;
+          continue;
+        }
+        if (out != i) chain[out] = std::move(chain[i]);
+        ++out;
       }
-      if (out != i) chain[out] = std::move(chain[i]);
-      ++out;
+      chain.resize(out);
     }
-    chain.resize(out);
+    if (chain.size() <= 1) {
+      entry->gc_listed = false;
+    } else {
+      gc_keys_[listed++] = key;
+    }
   }
+  gc_keys_.resize(listed);
   if (c_gc_removed_ != nullptr) c_gc_removed_->inc(gc_removed_ - removed_before);
 }
 
@@ -440,6 +453,7 @@ std::vector<std::pair<Key, Version>> PartitionStore::dump_versions() const {
 
 void PartitionStore::clear_all() {
   map_.clear();
+  gc_keys_.clear();
   for (UncommittedEntry& e : uncommitted_) {
     e.keys.clear();
     key_pool_.push_back(std::move(e.keys));
@@ -453,7 +467,7 @@ void PartitionStore::replay_insert(Key key, Version v) {
     uncommitted_keys(v.writer).push_back(key);
     ++entry.uncommitted_count;
   }
-  insert_sorted(entry.versions, std::move(v));
+  insert_sorted(key, entry, std::move(v));
 }
 
 StoreStats PartitionStore::stats() const {
@@ -514,12 +528,17 @@ void PartitionStore::reposition(VersionChain& chain,
   }
 }
 
-void PartitionStore::insert_sorted(VersionChain& chain, Version v) {
+void PartitionStore::insert_sorted(Key key, KeyEntry& entry, Version v) {
+  auto& chain = entry.versions;
   auto pos = std::upper_bound(
       chain.begin(), chain.end(), v.ts,
       [](Timestamp ts, const Version& existing) { return ts < existing.ts; });
   chain.insert(pos, std::move(v));
   peak_chain_ = std::max<std::uint64_t>(peak_chain_, chain.size());
+  if (chain.size() >= 2 && !entry.gc_listed) {
+    entry.gc_listed = true;
+    gc_keys_.push_back(key);
+  }
 }
 
 }  // namespace str::store

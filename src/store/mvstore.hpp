@@ -8,7 +8,8 @@
 //    may exist per key at any time — the pre-commit lock);
 //  * snapshot reads: the latest version with ts <= RS, classified as
 //    directly readable, speculatively readable, or blocking;
-//  * horizon-based garbage collection of committed versions;
+//  * horizon-based garbage collection of committed versions, over a
+//    candidate list of the keys that hold more than one version;
 //  * storage accounting for the Precise Clocks overhead experiment (§6.1).
 //
 // The store is purely mechanical: all distribution, replication and
@@ -155,7 +156,11 @@ class PartitionStore {
 
   /// Remove committed versions strictly older than the newest committed
   /// version at or below `horizon`; that newest one is retained so any
-  /// reader with RS >= horizon still finds its snapshot.
+  /// reader with RS >= horizon still finds its snapshot. Uncommitted
+  /// versions are never removed. The sweep visits only the candidate list
+  /// (every key whose chain holds two or more versions), not the whole key
+  /// table, so a tick costs what there is to prune; the result is exactly
+  /// that of compacting every chain in the table.
   void gc(Timestamp horizon);
 
   Timestamp last_reader(Key key) const;
@@ -211,10 +216,13 @@ class PartitionStore {
     /// uncommitted-below-committed scan (§5.1's wait rule) on the common
     /// all-committed path.
     std::uint32_t uncommitted_count = 0;
+    /// True while the key sits on `gc_keys_`.
+    bool gc_listed = false;
   };
 
-  /// Insert keeping the chain sorted (versions mostly append).
-  void insert_sorted(VersionChain& chain, Version v);
+  /// Insert keeping the chain sorted (versions mostly append); lists the
+  /// key for GC when its chain reaches two versions.
+  void insert_sorted(Key key, KeyEntry& entry, Version v);
 
   /// Re-sort a single element whose ts just changed, in place (state
   /// transitions re-timestamp one version; a rotate beats erase+insert).
@@ -241,6 +249,13 @@ class PartitionStore {
   /// Drop `tx`'s entry (swap-erase; order is irrelevant, every ordered
   /// consumer sorts), recycling its keys vector.
   void erase_uncommitted(const TxId& tx);
+  /// GC candidates. Invariant: every key whose chain holds two or more
+  /// versions is listed exactly once (its entry's gc_listed flag set). Only
+  /// insert_sorted grows a chain past one version, so it is the one place
+  /// that appends; gc() drops keys it leaves at one version or none, which
+  /// also catches chains that abort_tx shrank since the last sweep. A key
+  /// may therefore sit here with a short chain, never the other way round.
+  std::vector<Key> gc_keys_;
   std::uint64_t gc_removed_ = 0;
   std::uint64_t peak_chain_ = 0;
   /// 0 = inactive (WAL-off runs never touch it; behaviour byte-identical).

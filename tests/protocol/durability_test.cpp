@@ -307,6 +307,65 @@ TEST(Durability, CommitDecisionOutlivesItsRetentionWhileALogNeedsIt) {
   EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 
+TEST(Durability, CommitDecisionIsForgottenOnceRetentionPassesUnpinned) {
+  // The other side of the rule above: a decision younger than the
+  // retention always answers, and one past it is forgotten unless a
+  // partition log still holds its commit record. Decisions are made once
+  // a second; each is checked every second until well past the retention.
+  // The preloaded rows make each checkpoint large, so the amortised rule
+  // leaves commit records in the log for several seconds: some decisions
+  // are still pinned when they cross the retention and must go later.
+  Cluster::Config cfg = wal_config(2, 2);
+  const Timestamp retention = sec(3);
+  cfg.protocol.recovery.decision_log_retention = retention;
+  cfg.protocol.durability.checkpoint_min_bytes = 1;
+  Cluster cluster(cfg);
+  const std::string value(200, 'v');
+  for (Key row = 1; row <= 10; ++row) cluster.load(key_at(0, row), value);
+  cluster.run_for(msec(10));
+  Coordinator& coord = cluster.node(0).coordinator();
+  auto pinned = [&](const TxId& tx) {
+    for (const auto& [pid, actor] : cluster.node(0).replicas()) {
+      for (const auto& [logged, ct] : actor->own_commit_records()) {
+        if (logged == tx) return true;
+      }
+    }
+    return false;
+  };
+
+  std::vector<TxProbe> probes(20);
+  std::size_t forgotten = 0;
+  std::size_t forgotten_after_pin = 0;
+  std::vector<bool> was_pinned_past_retention(probes.size(), false);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    test::run_write(cluster, coord, {key_at(0, 1 + i % 3)}, value, probes[i]);
+    cluster.run_for(sec(1));
+    ASSERT_EQ(probes[i].result.outcome, TxOutcome::Committed);
+    for (std::size_t j = 0; j <= i; ++j) {
+      // finished_at trails the decision by at most the client hop; a
+      // second of slack on either side absorbs it and the tick period.
+      const Timestamp age = cluster.now() - probes[j].finished_at;
+      const bool known = coord.find_decision(probes[j].tx, nullptr, nullptr);
+      if (age + sec(1) < retention) {
+        EXPECT_TRUE(known) << "decision " << j << " at step " << i;
+      } else if (age > retention + sec(1)) {
+        if (pinned(probes[j].tx)) {
+          EXPECT_TRUE(known) << "pinned decision " << j << " at step " << i;
+          was_pinned_past_retention[j] = true;
+          continue;
+        }
+        EXPECT_FALSE(known) << "decision " << j << " at step " << i;
+        forgotten += known ? 0 : 1;
+        forgotten_after_pin += was_pinned_past_retention[j] && !known ? 1 : 0;
+      }
+    }
+  }
+  // The run did reach both kinds of expired decision.
+  EXPECT_GT(forgotten, 0u);
+  EXPECT_GT(forgotten_after_pin, 0u);
+  EXPECT_TRUE(cluster.quiesce_report().clean());
+}
+
 /// A 2-node cluster whose partition 0 holds `rows` preloaded rows of
 /// `value_bytes` each, so its first checkpoint is far above `floor`.
 Cluster::Config cadence_config(std::uint64_t floor) {

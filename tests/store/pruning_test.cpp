@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "common/rng.hpp"
 #include "protocol/cluster.hpp"
 #include "store/mvstore.hpp"
 #include "workload/client.hpp"
@@ -127,6 +128,167 @@ TEST(Pruning, SpeculativeVersionsSurviveAnyHorizon) {
   auto r = s.peek(1, 250);
   EXPECT_EQ(r.kind, ReadKind::Speculative);
   EXPECT_EQ(r.value_str(), "c");
+}
+
+// -- candidate-list sweep vs the full-table sweep ----------------------------
+
+/// The full-table GC, on a dump_versions() snapshot: every chain compacted
+/// exactly as gc(horizon) specifies, whether or not it is on the store's
+/// candidate list. Returns the number of versions removed.
+std::uint64_t full_table_gc(std::vector<std::pair<Key, Version>>& dump,
+                            Timestamp horizon) {
+  std::vector<std::pair<Key, Version>> kept;
+  std::uint64_t removed = 0;
+  for (std::size_t begin = 0; begin < dump.size();) {
+    std::size_t end = begin;
+    while (end < dump.size() && dump[end].first == dump[begin].first) ++end;
+    std::size_t keep_from = begin;
+    for (std::size_t i = end; i-- > begin;) {
+      const Version& v = dump[i].second;
+      if (v.state == VersionState::Committed && v.ts <= horizon) {
+        keep_from = i;
+        break;
+      }
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i < keep_from && dump[i].second.state == VersionState::Committed) {
+        ++removed;
+      } else {
+        kept.push_back(dump[i]);
+      }
+    }
+    begin = end;
+  }
+  dump = std::move(kept);
+  return removed;
+}
+
+void expect_same_versions(const std::vector<std::pair<Key, Version>>& got,
+                          const std::vector<std::pair<Key, Version>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << "at " << i;
+    EXPECT_EQ(got[i].second.ts, want[i].second.ts) << "at " << i;
+    EXPECT_EQ(got[i].second.state, want[i].second.state) << "at " << i;
+    EXPECT_EQ(got[i].second.writer, want[i].second.writer) << "at " << i;
+    EXPECT_EQ(got[i].second.value, want[i].second.value) << "at " << i;
+  }
+}
+
+/// Run gc(horizon) on `s` and check it against the full-table sweep.
+void expect_gc_matches_full_sweep(PartitionStore& s, Timestamp horizon) {
+  auto want = s.dump_versions();
+  const std::uint64_t want_removed = full_table_gc(want, horizon);
+  const std::uint64_t removed_before = s.stats().gc_removed;
+  s.gc(horizon);
+  EXPECT_EQ(s.stats().gc_removed - removed_before, want_removed);
+  expect_same_versions(s.dump_versions(), want);
+}
+
+TEST(Pruning, CandidateListSweepMatchesFullTableSweep) {
+  constexpr Key kKeys = 24;
+  struct Live {
+    TxId tx;
+    bool local_committed;
+  };
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    PartitionStore s;
+    for (Key k = 0; k < kKeys; ++k) {
+      if (rng.chance(0.7)) s.load(k, "init");  // the rest appear on write
+    }
+    std::vector<Live> live;
+    std::uint64_t next_seq = 1;
+    Timestamp clock = 10;
+    auto random_updates = [&]() {
+      std::vector<std::pair<Key, SharedValue>> updates;
+      for (std::uint64_t n = rng.uniform_range(1, 3); n > 0; --n) {
+        const Key k = rng.uniform(kKeys);
+        if (std::none_of(updates.begin(), updates.end(),
+                         [k](const auto& u) { return u.first == k; })) {
+          updates.emplace_back(k, std::make_shared<Value>("v"));
+        }
+      }
+      return updates;
+    };
+    auto pick_live = [&]() -> Live& { return live[rng.uniform(live.size())]; };
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      clock += rng.uniform_range(1, 20);
+      switch (rng.uniform(9)) {
+        case 0:
+        case 1: {  // master prepare, sometimes chained on live speculation
+          const TxId tx{0, next_seq++};
+          FlatSet<TxId> chain;
+          for (const Live& l : live) {
+            if (l.local_committed && rng.chance(0.5)) chain.insert(l.tx);
+          }
+          const auto pr = s.prepare(
+              tx, clock - rng.uniform(30), random_updates(), rng.chance(0.5),
+              clock, chain.empty() ? nullptr : &chain);
+          if (pr.ok) live.push_back({tx, false});
+          break;
+        }
+        case 2: {  // slave replicate, evicting local speculation
+          const TxId tx{1, next_seq++};
+          const auto updates = random_updates();
+          const auto rr =
+              s.replicate_insert(tx, updates, rng.chance(0.5), clock);
+          for (const TxId& evicted : rr.evicted) s.abort_tx(evicted);
+          s.replicate_finish(tx, updates, rr.proposed_ts);
+          live.push_back({tx, false});
+          break;
+        }
+        case 3:
+          if (!live.empty()) {
+            Live& l = pick_live();
+            if (!l.local_committed) {
+              s.local_commit(l.tx, s.uncommitted_ts(l.tx) + rng.uniform(5));
+              l.local_committed = true;
+            }
+          }
+          break;
+        case 4:
+          if (!live.empty()) {
+            const TxId tx = pick_live().tx;
+            s.final_commit(tx, std::max(clock, s.uncommitted_ts(tx)));
+          }
+          break;
+        case 5:
+          if (!live.empty()) s.abort_tx(pick_live().tx);
+          break;
+        case 6: {  // replayed version, any state
+          const auto state = static_cast<VersionState>(rng.uniform(3));
+          const TxId tx{2, next_seq++};
+          s.replay_insert(rng.uniform(kKeys),
+                          Version{clock, state, tx,
+                                  std::make_shared<Value>("r")});
+          if (state != VersionState::Committed) {
+            live.push_back({tx, state == VersionState::LocalCommitted});
+          }
+          break;
+        }
+        case 7:
+          if (rng.chance(0.05)) {
+            s.clear_all();
+            live.clear();
+          }
+          break;
+        case 8:
+          expect_gc_matches_full_sweep(s, rng.uniform(clock + 10));
+          break;
+      }
+      // Commits, aborts and evictions retire writers.
+      std::erase_if(live,
+                    [&](const Live& l) { return !s.has_uncommitted(l.tx); });
+      // Whatever state the store is in, a sweep at any horizon must agree
+      // with the full-table sweep (on a copy: the run itself goes on).
+      PartitionStore probe = s;
+      expect_gc_matches_full_sweep(probe, rng.uniform(clock + 10));
+      if (HasFailure()) return;
+    }
+  }
 }
 
 // -- cluster-wide watermark --------------------------------------------------

@@ -129,6 +129,9 @@ void usage() {
       "                       4 on lost client-acked commits, 5 on a\n"
       "                       transaction recovery settled both ways)\n"
       "  --drain S           drain seconds after the window              [3]\n"
+      "                      (at least 10 under any fault flag or plan, to\n"
+      "                       cover orphan recovery; the run header prints\n"
+      "                       the drain in effect)\n"
       "durability (docs/DURABILITY.md):\n"
       "  --wal               write-ahead log every commit decision; crashed\n"
       "                      nodes replay their logs on restart instead of\n"
@@ -598,6 +601,13 @@ int main(int argc, char** argv) {
     std::fprintf(rpt, "faults: %s%s\n", opt.faults.describe().c_str(),
                  opt.verify ? " (verify on)" : "");
   }
+  const Timestamp drain = harness::effective_drain(cfg);
+  std::fprintf(rpt, "drain: %gs", static_cast<double>(drain) / 1e6);
+  if (drain != cfg.drain) {
+    std::fprintf(rpt, " (--drain %gs raised to the fault-plan floor)",
+                 opt.drain_s);
+  }
+  std::fputc('\n', rpt);
 
   harness::ReplicatedResult agg;
   try {
